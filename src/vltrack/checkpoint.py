@@ -11,12 +11,15 @@ Layout (all integers little-endian):
     u32 rng-state length | rng state json
 
 Save -> load -> save is byte-identical; loading under a config whose model
-shape disagrees with the stored snapshot fails fast.
+shape disagrees with the stored snapshot fails fast. A save writes a
+temporary file beside the target and renames it over the target, so an
+interrupted save leaves the previous checkpoint as it was.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -92,27 +95,38 @@ def save_checkpoint(path, cfg: Config, model, opt, iteration: int, rng_state: di
     config_blob = cfg.replace(data_dir="", out_dir="").to_text().encode("utf-8")
     rng_blob = _encode_rng_state(rng_state)
 
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<I", len(config_blob)))
-        fh.write(config_blob)
-        fh.write(struct.pack("<I", len(names)))
-        for name in names:
-            data = np.ascontiguousarray(params[name].data, dtype="<f4")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", data.ndim))
-            fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
-            fh.write(data.tobytes())
-        fh.write(struct.pack("<I", opt_state["step"]))
-        for name in names:
-            fh.write(np.ascontiguousarray(opt_state["m"][name], dtype="<f4").tobytes())
-            fh.write(np.ascontiguousarray(opt_state["v"][name], dtype="<f4").tobytes())
-        fh.write(struct.pack("<Q", iteration))
-        fh.write(struct.pack("<I", len(rng_blob)))
-        fh.write(rng_blob)
+    # write beside the target and rename over it, so a crash mid-save leaves
+    # the previous checkpoint intact
+    tmp_path = f"{path}.tmp"
+    try:
+        with open(tmp_path, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<I", len(config_blob)))
+            fh.write(config_blob)
+            fh.write(struct.pack("<I", len(names)))
+            for name in names:
+                data = np.ascontiguousarray(params[name].data, dtype="<f4")
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<B", data.ndim))
+                fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
+                fh.write(data.tobytes())
+            fh.write(struct.pack("<I", opt_state["step"]))
+            for name in names:
+                fh.write(np.ascontiguousarray(opt_state["m"][name], dtype="<f4").tobytes())
+                fh.write(np.ascontiguousarray(opt_state["v"][name], dtype="<f4").tobytes())
+            fh.write(struct.pack("<Q", iteration))
+            fh.write(struct.pack("<I", len(rng_blob)))
+            fh.write(rng_blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        if os.path.exists(tmp_path):
+            os.remove(tmp_path)
+        raise
 
 
 class _Reader:

@@ -10,7 +10,7 @@ Hanning window, and undoes the crop transform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .errors import ConfigurationError, ContractError
 from .numcore import Tensor, named_stream, truncated_normal
 
 DESK_CHANNELS = (64, 32, 16)
-FULL_SCALE_CHANNELS = (256, 128, 64)
 
 
 @dataclass(frozen=True)
@@ -52,9 +51,6 @@ class BBox:
             y1 = y2 - min_side
         return BBox.from_xyxy(x1, y1, x2, y2, self.frame)
 
-    def scaled(self, factor):
-        return replace(self, cx=self.cx * factor, cy=self.cy * factor, w=self.w * factor, h=self.h * factor)
-
 
 @dataclass(frozen=True)
 class CropMeta:
@@ -70,9 +66,6 @@ class CropMeta:
 
     def box_to_image(self, b: BBox) -> BBox:
         return BBox(b.cx / self.scale + self.x0, b.cy / self.scale + self.y0, b.w / self.scale, b.h / self.scale, "image")
-
-
-IDENTITY_CROP = CropMeta(0.0, 0.0, 1.0, 8)
 
 
 @dataclass

@@ -307,6 +307,21 @@ def sample_training_batch(records, rng, cfg: Config, vocab: Vocab) -> SampleBatc
     return assemble_batch(samples, vocab, cfg.n_t)
 
 
+def _truncate_log(log_path, iteration: int):
+    """Cut a loss log after its last row at or before ``iteration``.
+
+    A run resumed from the checkpoint at ``iteration`` logs the later rows
+    again, so the interrupted run's copies of them are dropped.
+    """
+    with open(log_path, "r+b") as fh:
+        keep = 0
+        for n, line in enumerate(fh):
+            if n and int(line.split(b",", 1)[0]) > iteration:
+                break
+            keep += len(line)
+        fh.truncate(keep)
+
+
 def train(cfg: Config, dataset_dir, out_dir, resume=None, quiet=False):
     """Full training run; returns (model, final checkpoint path, seconds)."""
     from .checkpoint import load_checkpoint, save_checkpoint
@@ -327,15 +342,16 @@ def train(cfg: Config, dataset_dir, out_dir, resume=None, quiet=False):
         opt.load_state_dict(state.optimizer)
         sampler.bit_generator.state = state.rng_state
         start_iter = state.iteration
-        log_mode = "a" if os.path.isfile(log_path) else "w"
-    else:
-        log_mode = "w"
+        if os.path.isfile(log_path):
+            _truncate_log(log_path, start_iter)
 
     started = time.perf_counter()
-    with open(log_path, log_mode, newline="", encoding="ascii") as log_file:
+    # rows are flushed as they are written, so a killed run keeps its log
+    with open(log_path, "w" if resume is None else "a", newline="", encoding="ascii") as log_file:
         writer = csv.writer(log_file)
-        if log_mode == "w":
+        if log_file.tell() == 0:
             writer.writerow(LOG_COLUMNS)
+            log_file.flush()
         for it in range(start_iter, cfg.iters):
             batch = sample_training_batch(records, sampler, cfg, vocab)
             lr = cosine_lr(cfg.lr, it, cfg.iters)
@@ -357,6 +373,7 @@ def train(cfg: Config, dataset_dir, out_dir, resume=None, quiet=False):
                         f"{breakdown['ima']:.6f}",
                     ]
                 )
+                log_file.flush()
                 if not quiet:
                     print(f"iter {step}/{cfg.iters} loss {breakdown['total']:.4f} lr {lr:.2e}")
             if step % cfg.checkpoint_every == 0 and step != cfg.iters:
@@ -388,7 +405,9 @@ def track_sequence(
     """One-pass tracking: fixed template from frame 0, no re-detection.
 
     The prediction for frame 0 is the given box; each later frame is searched
-    around the previous prediction at 4x scale.
+    around the previous prediction at 4x scale. Frames are read once each, in
+    order, and never cached on the record, so memory stays flat on long
+    sequences.
     """
     if prompt_override is not None:
         prompt = prompt_override
@@ -399,7 +418,7 @@ def track_sequence(
 
     first = init_box if init_box is not None else record.boxes[0]
     template, _ = crop_and_resize(
-        record.frame(0), (first.cx, first.cy), max(8.0, crop_side_for(first, 2.0)), cfg.template_size, cfg.patch
+        record.stream_frame(0), (first.cx, first.cy), max(8.0, crop_side_for(first, 2.0)), cfg.template_size, cfg.patch
     )
     template = template[None]
     window = cfg.window_weight if cfg.window_enabled else 0.0
@@ -408,7 +427,7 @@ def track_sequence(
     prev = first
     for t in range(1, len(record)):
         search, meta = crop_and_resize(
-            record.frame(t), (prev.cx, prev.cy), max(8.0, crop_side_for(prev, 4.0)), cfg.search_size, cfg.patch
+            record.stream_frame(t), (prev.cx, prev.cy), max(8.0, crop_side_for(prev, 4.0)), cfg.search_size, cfg.patch
         )
         fw = model.forward(search[None], template, ids, mask, use_language=use_language)
         box = decode(fw.head, meta, window_weight=window, image_size=record.canvas)

@@ -122,10 +122,18 @@ class SequenceRecord:
         return len(self.frame_paths)
 
     def frame(self, i) -> np.ndarray:
-        """Frame i as float32 (H, W, 3) in [0, 1], cached after first load."""
+        """Frame i as uint8 (H, W, 3), cached after first load for random access."""
         if i not in self._frames:
             self._frames[i] = load_frame(self.frame_paths[i])
         return self._frames[i]
+
+    def stream_frame(self, i) -> np.ndarray:
+        """Frame i without caching it: the held frame if there is one, else a fresh decode.
+
+        For one in-order pass, such as tracking, where no frame is read twice.
+        """
+        held = self._frames.get(i)
+        return held if held is not None else load_frame(self.frame_paths[i])
 
 
 # ---------------------------------------------------------------------------
@@ -318,17 +326,19 @@ def read_ppm(path) -> np.ndarray:
 
 
 def load_frame(path) -> np.ndarray:
-    """Any supported frame file as float32 (H, W, 3) in [0, 1]."""
+    """Any supported frame file as uint8 (H, W, 3), as stored.
+
+    Frames stay uint8 until ``crop_and_resize`` gathers and normalizes the
+    pixels of a crop; a float32 copy of a whole frame would be 4x larger.
+    """
     path = str(path)
     if path.endswith(".ppm"):
-        raw = read_ppm(path)
-    else:
-        try:
-            from PIL import Image
-        except ImportError as exc:
-            raise ConfigurationError(f"reading {path} needs Pillow; install the 'jpeg' extra") from exc
-        raw = np.asarray(Image.open(path).convert("RGB"), dtype=np.uint8)
-    return raw.astype(np.float32) / 255.0
+        return read_ppm(path)
+    try:
+        from PIL import Image
+    except ImportError as exc:
+        raise ConfigurationError(f"reading {path} needs Pillow; install the 'jpeg' extra") from exc
+    return np.asarray(Image.open(path).convert("RGB"), dtype=np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +379,7 @@ def memory_record(scenario: Scenario, seq_id: str = "mem") -> SequenceRecord:
         canvas=(scenario.canvas, scenario.canvas),
         objects=tracks,
     )
-    for t, frame in enumerate(frames):
-        record._frames[t] = frame.astype(np.float32) / 255.0
+    record._frames.update(enumerate(frames))
     return record
 
 
@@ -575,6 +584,8 @@ def list_sequences(dataset_dir) -> list[str]:
 def crop_and_resize(img: np.ndarray, center, side, out_size, stride=8):
     """Square crop of ``side`` pixels around ``center``, bilinearly resized.
 
+    ``img`` is a uint8 frame or a float frame in [0, 1]; uint8 pixels are
+    normalized as they are gathered, so both give bit-identical crops.
     Out-of-canvas samples are zero-filled. Returns (3, out, out) float32 and
     the CropMeta tying crop and image coordinates together.
     """
@@ -595,7 +606,11 @@ def crop_and_resize(img: np.ndarray, center, side, out_size, stride=8):
         valid = ((ii >= 0) & (ii < h)).astype(np.float32)[:, None, None] * (
             (jj >= 0) & (jj < w)
         ).astype(np.float32)[None, :, None]
-        block = img[np.clip(ii, 0, h - 1)[:, None], np.clip(jj, 0, w - 1)[None, :]]
+        # rows, then columns: two axis takes copy the same pixels as one
+        # (ii, jj) fancy index, several times faster
+        block = img.take(np.clip(ii, 0, h - 1), axis=0).take(np.clip(jj, 0, w - 1), axis=1)
+        if block.dtype == np.uint8:
+            block = block.astype(np.float32) / 255.0
         return block * valid
 
     p00 = gather(yi, xi)

@@ -129,6 +129,21 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
+        cfg, model, opt, rng = self.make_parts(tmp_path)
+        path = tmp_path / "c.aio"
+        save_checkpoint(path, cfg, model, opt, 4, rng.bit_generator.state)
+        before = path.read_bytes()
+
+        class MissingMoments:
+            def state_dict(self):
+                return dict(opt.state_dict(), m={})  # fails after the parameters are written
+
+        with pytest.raises(KeyError):
+            save_checkpoint(path, cfg, model, MissingMoments(), 8, rng.bit_generator.state)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["c.aio"]
+
     def test_rng_state_roundtrip_preserves_stream(self, tmp_path):
         cfg, model, opt, rng = self.make_parts(tmp_path)
         rng.uniform(size=7)  # advance

@@ -8,6 +8,7 @@ import pytest
 from oracles import center_error_oracle, iou_oracle
 
 from vltrack import pipeline as pl
+from vltrack import synthdata as sd
 from vltrack.config import Config
 from vltrack.errors import ContractError, TrainingDiverged
 from vltrack.head import BBox
@@ -263,6 +264,16 @@ class TestTrackSequence:
         for a, b in zip(head, full[:5]):
             assert (a.cx, a.cy, a.w, a.h) == (b.cx, b.cy, b.w, b.h)
 
+    def test_streams_file_frames_once_without_caching(self, tiny_dataset, small_setup, small_cfg, monkeypatch):
+        _, _, model, _ = small_setup
+        record = pl.load_dataset(tiny_dataset)[0]
+        decoded = []
+        load_frame = sd.load_frame
+        monkeypatch.setattr(sd, "load_frame", lambda path: decoded.append(path) or load_frame(path))
+        pl.track_sequence(model, record, small_cfg)
+        assert decoded == record.frame_paths
+        assert record._frames == {}
+
     def test_prompt_override_changes_tokens_not_protocol(self, small_setup, small_cfg):
         records, _, model, _ = small_setup
         preds = pl.track_sequence(model, records[0], small_cfg, prompt_override="blue square moving up")
@@ -386,3 +397,28 @@ class TestTrainLoop:
         rows = (tmp_path / "loss_log.csv").read_text().strip().splitlines()
         iters = [int(r.split(",")[0]) for r in rows[1:]]
         assert iters == [2, 4, 6]
+
+    def test_resumed_run_matches_uninterrupted_run(self, tiny_dataset, tmp_path, small_cfg, monkeypatch):
+        cfg = small_cfg.replace(iters=8, checkpoint_every=4, log_every=1)
+        run_a, run_b = tmp_path / "a", tmp_path / "b"
+        pl.train(cfg, tiny_dataset, run_a, quiet=True)
+
+        train_step = pl.train_step
+        log_at_crash = []
+
+        def crash_at_step_6(model, batch, opt, cfg, lr=None):
+            if opt.step_count == 5:
+                log_at_crash.append((run_b / "loss_log.csv").read_text())
+                raise RuntimeError("simulated crash at step 6")
+            return train_step(model, batch, opt, cfg, lr)
+
+        monkeypatch.setattr(pl, "train_step", crash_at_step_6)
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            pl.train(cfg, tiny_dataset, run_b, quiet=True)
+        # rows 1-5 reached the disk before the crash, not only when the file closed
+        assert len(log_at_crash[0].splitlines()) == 6
+        monkeypatch.setattr(pl, "train_step", train_step)
+        pl.train(cfg, tiny_dataset, run_b, resume=run_b / "checkpoint.aio", quiet=True)
+
+        for name in ("checkpoint.aio", "loss_log.csv"):
+            assert (run_b / name).read_bytes() == (run_a / name).read_bytes(), name

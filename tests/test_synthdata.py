@@ -77,10 +77,13 @@ class TestGenerate:
         w_box = twin.boxes[0]
         assert (t_box[2], t_box[3]) == (w_box[2], w_box[3])  # identical mask size
         frame = record.frame(0)
-        tc = np.array(sd.PALETTE[target.color]) / 255.0
-        wc = np.array(sd.PALETTE[twin.color]) / 255.0
-        assert np.any(np.all(np.isclose(frame, tc, atol=1e-6), axis=-1))
-        assert np.any(np.all(np.isclose(frame, wc, atol=1e-6), axis=-1))
+        assert frame.dtype == np.uint8
+        assert np.any(np.all(frame == sd.PALETTE[target.color], axis=-1))
+        assert np.any(np.all(frame == sd.PALETTE[twin.color], axis=-1))
+        # the in-memory record holds the same uint8 frames the files store
+        memory = sd.memory_record(scenario)
+        assert all(f.dtype == np.uint8 for f in memory._frames.values())
+        np.testing.assert_array_equal(memory.frame(0), frame)
 
     def test_boxes_min_size_and_inside_canvas(self, twin_seq):
         _, record, _ = twin_seq
@@ -212,6 +215,19 @@ class TestCrop:
         out, _ = crop_and_resize(img, (0.0, 0.0), 16.0, 16)
         assert out[:, 0, 0] == pytest.approx(0.0)  # far corner outside
         assert out[:, 12, 12] == pytest.approx(1.0)
+
+    def test_uint8_frame_crops_like_its_float_copy(self):
+        rng = np.random.default_rng(2)
+        img = rng.integers(0, 256, (24, 20, 3), dtype=np.uint8)
+        as_float = img.astype(np.float32) / 255.0
+        # inside the canvas, then reaching past two edges (zero fill)
+        for center, side, out_size in (((10.0, 12.0), 9.5, 16), ((1.5, 22.0), 17.0, 16)):
+            a, meta_a = crop_and_resize(img, center, side, out_size)
+            b, meta_b = crop_and_resize(as_float, center, side, out_size)
+            assert a.dtype == b.dtype == np.float32
+            assert a.tobytes() == b.tobytes()
+            assert meta_a == meta_b
+        assert np.all(a[:, :, 0] == 0.0)  # the first column lies left of the canvas
 
     def test_downscale_averages(self):
         img = np.zeros((8, 8, 3), dtype=np.float32)

@@ -58,16 +58,13 @@ def init_align(dim: int, align_dim: int, seed: int) -> AlignProjections:
 
 
 def project_pool(tokens: Tensor, proj: LinearParams, mask=None, pool: str = "mean") -> Tensor:
-    """Pool a token matrix to one vector, then project it.
+    """Pool each sample's tokens to one vector, then project it.
 
-    ``tokens`` is (N_tok, D) or (B, N_tok, D). ``mean`` averages rows
+    ``tokens`` is (B, N_tok, D); the result is (B, C). ``mean`` averages rows
     (mask-weighted when a mask is given, so padded rows never contribute);
     ``first`` takes row 0, the [CLS]-style choice for the language stream.
     """
     tokens = nc.as_tensor(tokens)
-    single = tokens.ndim == 2
-    if single:
-        tokens = nc.reshape(tokens, (1,) + tuple(tokens.shape))
     b, n, d = tokens.shape
     if n < 1:
         raise ContractError("project_pool needs at least one token")
@@ -85,22 +82,11 @@ def project_pool(tokens: Tensor, proj: LinearParams, mask=None, pool: str = "mea
             pooled = nc.tensor_sum(weighted, axis=1) / Tensor(counts[:, None], dtype=tokens.dtype)
     else:
         raise ConfigurationError(f"unknown pooling {pool!r}")
-    out = proj(pooled)
-    return nc.reshape(out, (out.shape[-1],)) if single else out
-
-
-def cosine(u: Tensor, v: Tensor) -> Tensor:
-    """Cosine similarity of two vectors, guarded against zero norms."""
-    u = nc.as_tensor(u)
-    v = nc.as_tensor(v)
-    dot = nc.tensor_sum(u * v)
-    nu = nc.sqrt(nc.tensor_sum(u * u))
-    nv = nc.sqrt(nc.tensor_sum(v * v))
-    return dot / (nu * nv + COSINE_EPS)
+    return proj(pooled)
 
 
 def _cosine_matrix(a: Tensor, b: Tensor) -> Tensor:
-    """S[i, j] = cos(a_i, b_j) with the same zero-norm guard as ``cosine``."""
+    """S[i, j] = cos(a_i, b_j), guarded against zero norms by ``COSINE_EPS``."""
     dots = a @ nc.transpose(b, (1, 0))
     na = nc.sqrt(nc.tensor_sum(a * a, axis=1, keepdims=True))
     nb = nc.sqrt(nc.tensor_sum(b * b, axis=1, keepdims=True))

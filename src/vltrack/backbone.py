@@ -109,15 +109,15 @@ def init_backbone(cfg: BackboneConfig, seed: int) -> BackboneParams:
 def modal_mixup(hx: Tensor, hz: Tensor, t: Tensor, gate: LinearParams, gate_template: LinearParams | None = None):
     """Gate both vision streams elementwise by the projected language vector.
 
-    F = H * broadcast(gate(t)) + H for each stream; the same projection is
-    applied to search and template unless a separate template gate is given.
-    A zero gate output leaves both streams bit-exactly unchanged.
+    F = H * broadcast(gate(t)) + H for each stream, with streams (B, N, D)
+    and ``t`` (B, D); the same projection is applied to search and template
+    unless a separate template gate is given. A zero gate output leaves both
+    streams bit-exactly unchanged.
     """
     gx = gate(t)
     gz = gx if gate_template is None else gate_template(t)
-    if hx.ndim == 3:  # batched: (B, N, D) * (B, 1, D)
-        gx = nc.reshape(gx, (gx.shape[0], 1, gx.shape[-1]))
-        gz = nc.reshape(gz, (gz.shape[0], 1, gz.shape[-1]))
+    gx = nc.reshape(gx, (gx.shape[0], 1, gx.shape[-1]))  # (B, 1, D)
+    gz = nc.reshape(gz, (gz.shape[0], 1, gz.shape[-1]))
     fx = hx * gx + hx
     fz = hz * gz + hz
     return fx, fz
@@ -148,14 +148,10 @@ def _ffn(x: Tensor, p: EncoderLayerParams) -> Tensor:
 def encoder_layer(fx: Tensor, fz: Tensor, p: EncoderLayerParams, heads: int, norm_placement: str = "post"):
     """One encoder layer over the concatenated [search; template] sequence.
 
-    Post placement (default) normalizes after each residual add; the pre
-    variant normalizes sub-layer inputs instead. Returns the streams split
-    back at the search token count.
+    ``fx`` is (B, N_x, D) and ``fz`` (B, N_z, D). Post placement (default)
+    normalizes after each residual add; the pre variant normalizes sub-layer
+    inputs instead. Returns the streams split back at the search token count.
     """
-    single = fx.ndim == 2
-    if single:
-        fx = nc.reshape(fx, (1,) + tuple(fx.shape))
-        fz = nc.reshape(fz, (1,) + tuple(fz.shape))
     n_x = fx.shape[1]
     x = nc.concat([fx, fz], axis=1)
     if norm_placement == "post":
@@ -166,9 +162,6 @@ def encoder_layer(fx: Tensor, fz: Tensor, p: EncoderLayerParams, heads: int, nor
         x = x + _ffn(nc.layernorm(x, p.ln2_gain, p.ln2_bias), p)
     out_x = nc.narrow(x, 1, 0, n_x)
     out_z = nc.narrow(x, 1, n_x, x.shape[1] - n_x)
-    if single:
-        out_x = nc.reshape(out_x, tuple(out_x.shape[1:]))
-        out_z = nc.reshape(out_z, tuple(out_z.shape[1:]))
     return out_x, out_z
 
 

@@ -85,7 +85,9 @@ def cmd_train(args) -> int:
     if not cfg.data_dir:
         print("error: ConfigurationError: no dataset directory (--data)", file=sys.stderr)
         return 2
-    _, ckpt_path, seconds = train(cfg, cfg.data_dir, cfg.out_dir or ".", resume=args.resume, quiet=args.quiet)
+    # checkpoints store no out_dir, so a resumed run defaults to its checkpoint's directory
+    out_dir = cfg.out_dir or os.path.dirname(args.resume or "") or "."
+    _, ckpt_path, seconds = train(cfg, cfg.data_dir, out_dir, resume=args.resume, quiet=args.quiet)
     print(f"checkpoint {ckpt_path} ({seconds:.1f}s)")
     return 0
 

@@ -3,8 +3,8 @@
 Images are patchified in raster order and linearly projected; prompts go
 through a deterministic lowercase word tokenizer over a fixed vocabulary (no
 external tokenizer assets), are [CLS]-prefixed, and embedded by table lookup.
-All functions are pure over immutable parameter tensors and accept either a
-single sample or a leading batch axis.
+All functions are pure over immutable parameter tensors and take a leading
+batch axis; a single sample is a batch of one.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numcore as nc
-from .errors import ConfigurationError, ContractError, VocabularyError
+from .errors import ConfigurationError, ContractError, ShapeMismatchError
 from .numcore import Tensor
 
 PAD_ID = 0
@@ -140,29 +140,18 @@ def tokenize(prompt: str, vocab: Vocab, n_tokens: int) -> TokenizedPrompt:
     return TokenizedPrompt(tuple(ids), tuple(mask))
 
 
-def detokenize(tp: TokenizedPrompt, vocab: Vocab) -> str:
-    return " ".join(vocab.word_of(i) for i, m in zip(tp.ids, tp.mask) if m and i != CLS_ID)
-
-
-def embed_text(tp: TokenizedPrompt, table: Tensor) -> Tensor:
-    """Look up one prompt's rows from the embedding table, shape (N_t, D)."""
-    ids = np.asarray(tp.ids, dtype=np.int64)
-    if ids.max(initial=0) >= table.shape[0]:
-        raise VocabularyError(f"token id {int(ids.max())} outside table of {table.shape[0]} rows")
-    return nc.take_rows(table, ids)
-
-
 def patch_embed(img: Tensor, cfg: PatchConfig, proj: Tensor, pos: Tensor) -> Tensor:
     """Patchify, project to the token dimension, and add positional embeddings.
 
-    ``img`` is (3, H, W) or (B, 3, H, W) with H, W divisible by the patch
-    size. Patches are taken in raster order; each is flattened channel-major
-    so token k is the dot product of patch k with the projection columns.
+    ``img`` is (B, 3, H, W) with H, W divisible by the patch size; the
+    result is (B, N, D). Patches are taken in raster order; each is flattened
+    channel-major so token k is the dot product of patch k with the
+    projection columns.
     """
     img = nc.as_tensor(img)
-    single = img.ndim == 3
-    shape = img.shape if not single else (1,) + tuple(img.shape)
-    b, c, h, w = shape
+    if img.ndim != 4:
+        raise ShapeMismatchError(f"patch_embed expects a (B, 3, H, W) image batch, got shape {tuple(img.shape)}")
+    b, c, h, w = img.shape
     p = cfg.patch
     if h % p or w % p:
         raise ConfigurationError(f"image {h}x{w} is not divisible by patch size {p}")
@@ -176,12 +165,11 @@ def patch_embed(img: Tensor, cfg: PatchConfig, proj: Tensor, pos: Tensor) -> Ten
     x = nc.reshape(img, (b, c, gh, p, gw, p))
     x = nc.transpose(x, (0, 2, 4, 1, 3, 5))  # (b, gh, gw, c, p, p)
     x = nc.reshape(x, (b, n, c * p * p))
-    tokens = x @ proj + pos
-    return nc.reshape(tokens, (n, cfg.dim)) if single else tokens
+    return x @ proj + pos
 
 
 def reduce_language(tokens: Tensor, mask, mode: str = "mean", include_cls: bool = True) -> Tensor:
-    """Collapse language tokens (N_t, D) or (B, N_t, D) to one vector per prompt.
+    """Collapse language tokens (B, N_t, D) to one vector per prompt, (B, D).
 
     ``cls`` returns row 0; ``mean`` returns the mask-weighted average, by
     default including the [CLS] row. Padded rows never contribute.
@@ -189,20 +177,15 @@ def reduce_language(tokens: Tensor, mask, mode: str = "mean", include_cls: bool 
     if mode not in ("cls", "mean"):
         raise ConfigurationError(f"unknown language reduction mode {mode!r}")
     tokens = nc.as_tensor(tokens)
-    single = tokens.ndim == 2
-    if single:
-        tokens = nc.reshape(tokens, (1,) + tuple(tokens.shape))
     b, n, d = tokens.shape
     m = np.asarray(mask, dtype=tokens.data.dtype).reshape(b, n)
     if mode == "cls":
-        out = nc.reshape(nc.narrow(tokens, 1, 0, 1), (b, d))
-    else:
-        if not include_cls:
-            m = m.copy()
-            m[:, 0] = 0
-        counts = m.sum(axis=1)
-        if np.any(counts <= 0):
-            raise ContractError("mean reduction needs at least one masked-in token")
-        weighted = tokens * Tensor(m[:, :, None], dtype=tokens.dtype)
-        out = nc.tensor_sum(weighted, axis=1) / Tensor(counts[:, None], dtype=tokens.dtype)
-    return nc.reshape(out, (d,)) if single else out
+        return nc.reshape(nc.narrow(tokens, 1, 0, 1), (b, d))
+    if not include_cls:
+        m = m.copy()
+        m[:, 0] = 0
+    counts = m.sum(axis=1)
+    if np.any(counts <= 0):
+        raise ContractError("mean reduction needs at least one masked-in token")
+    weighted = tokens * Tensor(m[:, :, None], dtype=tokens.dtype)
+    return nc.tensor_sum(weighted, axis=1) / Tensor(counts[:, None], dtype=tokens.dtype)

@@ -90,9 +90,9 @@ class HeadParams:
 class HeadOutput:
     """Per-cell maps over the GxG search grid, each in (0, 1) after sigmoid."""
 
-    score: Tensor  # (..., 1, G, G)
-    offset: Tensor  # (..., 2, G, G)
-    size: Tensor  # (..., 2, G, G)
+    score: Tensor  # (B, 1, G, G)
+    offset: Tensor  # (B, 2, G, G)
+    size: Tensor  # (B, 2, G, G)
 
     @property
     def grid(self):
@@ -132,10 +132,7 @@ def _run_branch(fmap: Tensor, branch: BranchParams) -> Tensor:
 
 
 def head_forward(sx: Tensor, params: HeadParams) -> HeadOutput:
-    """Map search tokens (N_x, D) or (B, N_x, D) to score/offset/size maps."""
-    single = sx.ndim == 2
-    if single:
-        sx = nc.reshape(sx, (1,) + tuple(sx.shape))
+    """Map search tokens (B, N_x, D) to score/offset/size maps."""
     b, n, d = sx.shape
     g = math.isqrt(n)
     if g * g != n:
@@ -144,9 +141,6 @@ def head_forward(sx: Tensor, params: HeadParams) -> HeadOutput:
     score = _run_branch(fmap, params.score)
     offset = _run_branch(fmap, params.offset)
     size = _run_branch(fmap, params.size)
-    if single:
-        squeeze = lambda t: nc.reshape(t, tuple(t.shape[1:]))
-        return HeadOutput(squeeze(score), squeeze(offset), squeeze(size))
     return HeadOutput(score, offset, size)
 
 
@@ -179,10 +173,6 @@ def focal_loss(score: Tensor, target, alpha: float = 2.0, beta: float = 4.0) -> 
     y = np.asarray(target, dtype=score.data.dtype)
     if y.shape != tuple(score.shape):
         raise ContractError(f"target shape {y.shape} != score shape {tuple(score.shape)}")
-    single = score.ndim == 3
-    if single:
-        score = nc.reshape(score, (1,) + tuple(score.shape))
-        y = y[None]
     b = score.shape[0]
     pos = (y >= 1.0).astype(score.data.dtype)
     neg = 1.0 - pos
@@ -267,13 +257,9 @@ def decode(out: HeadOutput, crop_meta: CropMeta, window_weight: float = 0.0, ima
     mapped back through ``crop_meta`` and clipped to ``image_size`` (W, H)
     when given - the only clipping step.
     """
-    score = out.score.data
-    offset = out.offset.data
-    size = out.size.data
-    if score.ndim == 4:
-        if score.shape[0] != 1:
-            raise ContractError("decode expects a single sample")
-        score, offset, size = score[0], offset[0], size[0]
+    if out.score.ndim != 4 or out.score.shape[0] != 1:
+        raise ContractError(f"decode expects one sample's (1, C, G, G) maps, got {tuple(out.score.shape)}")
+    score, offset, size = out.score.data[0], out.offset.data[0], out.size.data[0]
     g = score.shape[-1]
     blended = score[0]
     if window_weight:

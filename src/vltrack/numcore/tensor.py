@@ -639,13 +639,12 @@ def _conv_geometry(h, w, kh, kw, stride, padding):
 def conv2d(x, kernels, stride=1, padding=0):
     """2-d cross-correlation (the deep-learning convention).
 
-    ``x`` is (C_in, H, W) or batched (B, C_in, H, W); ``kernels`` is
-    (C_out, C_in, kh, kw). Implemented as an im2col matrix product.
+    ``x`` is (B, C_in, H, W); ``kernels`` is (C_out, C_in, kh, kw).
+    Implemented as an im2col matrix product.
     """
     x = as_tensor(x)
     kernels = as_tensor(kernels, dtype=x.dtype)
-    squeeze = x.ndim == 3
-    xd = x.data[None] if squeeze else x.data
+    xd = x.data
     if xd.ndim != 4 or kernels.ndim != 4:
         raise ShapeMismatchError(f"conv2d expects (B,C,H,W) and (Co,Ci,kh,kw), got {x.shape} and {kernels.shape}")
     b, c, h, w = xd.shape
@@ -666,10 +665,10 @@ def conv2d(x, kernels, stride=1, padding=0):
     cols2 = cols.reshape(b, c * kh * kw, ho * wo)
     kmat = kernels.data.reshape(co, c * kh * kw)
     out_data = (kmat @ cols2).reshape(b, co, ho, wo)
-    out = _result(out_data[0] if squeeze else out_data, x.requires_grad or kernels.requires_grad)
+    out = _result(out_data, x.requires_grad or kernels.requires_grad)
 
     def backward(g):
-        g4 = (g[None] if squeeze else g).reshape(b, co, ho * wo)
+        g4 = g.reshape(b, co, ho * wo)
         gx = gk = None
         if kernels.requires_grad:
             gk = np.matmul(g4, cols2.transpose(0, 2, 1)).sum(axis=0).reshape(kernels.shape)
@@ -681,7 +680,7 @@ def conv2d(x, kernels, stride=1, padding=0):
                 for j in range(kw):
                     gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[:, :, i, j]
             gx = gxp[:, :, padding : padding + h, padding : padding + w] if padding else gxp
-            gx = np.ascontiguousarray(gx[0] if squeeze else gx)
+            gx = np.ascontiguousarray(gx)
         return gx, gk
 
     return _record(out, (x, kernels), backward)

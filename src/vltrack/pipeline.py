@@ -471,12 +471,6 @@ def complete_iou(a: BBox, b: BBox) -> float:
     return min(1.0, max(0.0, iou(a, b) - penalty))
 
 
-# Named plug-ins for the protocol-defined metrics whose exact formulas are
-# delegated elsewhere; swap entries to change the definition.
-OVERLAP_VARIANTS = {"ciou": complete_iou, "iou": iou}
-ACCURACY_VARIANTS = {"mean_iou": lambda ious: float(np.mean(ious)) if len(ious) else 0.0}
-
-
 @dataclass
 class MetricReport:
     """Five metrics plus the threshold curves backing them."""
@@ -500,19 +494,19 @@ class MetricReport:
         }
 
 
-def compute_metrics(preds, gts, cauc_variant="ciou", acc_variant="mean_iou") -> MetricReport:
+def compute_metrics(preds, gts) -> MetricReport:
     """Score aligned prediction/ground-truth box sequences.
 
-    Success-style curves count ties as successes (metric >= threshold) and
-    their area is the arithmetic mean over the threshold sweep.
+    cAUC sweeps ``complete_iou`` and ACC is the mean IoU. Success-style
+    curves count ties as successes (metric >= threshold) and their area is
+    the arithmetic mean over the threshold sweep.
     """
     if len(preds) != len(gts):
         raise ContractError(f"{len(preds)} predictions vs {len(gts)} ground-truth boxes")
     if not preds:
         raise ContractError("empty sequences cannot be scored")
-    overlap = OVERLAP_VARIANTS[cauc_variant]
     ious = np.array([iou(p, g) for p, g in zip(preds, gts)])
-    compl = np.array([overlap(p, g) for p, g in zip(preds, gts)])
+    compl = np.array([complete_iou(p, g) for p, g in zip(preds, gts)])
     errs = np.array([math.hypot(p.cx - g.cx, p.cy - g.cy) for p, g in zip(preds, gts)])
     nerrs = np.array(
         [math.hypot((p.cx - g.cx) / max(g.w, 1e-9), (p.cy - g.cy) / max(g.h, 1e-9)) for p, g in zip(preds, gts)]
@@ -528,7 +522,7 @@ def compute_metrics(preds, gts, cauc_variant="ciou", acc_variant="mean_iou") -> 
         p_norm=float(np.mean(norm_precision)),
         auc=float(np.mean(success)),
         cauc=float(np.mean(csuccess)),
-        acc=ACCURACY_VARIANTS[acc_variant](ious),
+        acc=float(np.mean(ious)),
         n_frames=len(preds),
         curves={
             "success": (list(SUCCESS_THRESHOLDS), success),

@@ -24,56 +24,61 @@ def embeddings(n, c, seed):
 
 class TestProjectPool:
     def test_constant_rows_pool_to_that_row(self):
-        tokens = Tensor(np.tile([2.0, -1.0], (5, 1)).astype(np.float32))
+        tokens = Tensor(np.tile([2.0, -1.0], (1, 5, 1)).astype(np.float32))
         proj = LinearParams(Tensor(np.eye(2, dtype=np.float32)), Tensor(np.zeros(2, dtype=np.float32)))
         out = align.project_pool(tokens, proj)
-        np.testing.assert_allclose(out.data, [2.0, -1.0], atol=1e-6)
+        np.testing.assert_allclose(out.data[0], [2.0, -1.0], atol=1e-6)
 
     def test_identity_projection_returns_token_mean(self):
         rng = np.random.default_rng(20)
         tokens_np = rng.normal(size=(4, 3)).astype(np.float32)
         proj = LinearParams(Tensor(np.eye(3, dtype=np.float32)), Tensor(np.zeros(3, dtype=np.float32)))
-        out = align.project_pool(Tensor(tokens_np), proj)
-        np.testing.assert_allclose(out.data, tokens_np.mean(axis=0), atol=1e-6)
+        out = align.project_pool(Tensor(tokens_np[None]), proj)
+        np.testing.assert_allclose(out.data[0], tokens_np.mean(axis=0), atol=1e-6)
 
     def test_matches_scalar_mean_dot_oracle(self):
         rng = np.random.default_rng(21)
         tokens_np = rng.normal(size=(4, 3)).astype(np.float32)
         w = rng.normal(size=(3, 2)).astype(np.float32)
         b = rng.normal(size=2).astype(np.float32)
-        out = align.project_pool(Tensor(tokens_np), LinearParams(Tensor(w), Tensor(b)))
+        out = align.project_pool(Tensor(tokens_np[None]), LinearParams(Tensor(w), Tensor(b)))
         pooled = tokens_np.astype(np.float64).mean(axis=0)
         expect = pooled @ w.astype(np.float64) + b
-        np.testing.assert_allclose(out.data, expect, atol=1e-6)
+        np.testing.assert_allclose(out.data[0], expect, atol=1e-6)
 
     def test_first_token_pooling(self):
         rng = np.random.default_rng(22)
         tokens_np = rng.normal(size=(4, 3)).astype(np.float32)
         proj = LinearParams(Tensor(np.eye(3, dtype=np.float32)), Tensor(np.zeros(3, dtype=np.float32)))
-        out = align.project_pool(Tensor(tokens_np), proj, pool="first")
-        np.testing.assert_array_equal(out.data, tokens_np[0])
+        out = align.project_pool(Tensor(tokens_np[None]), proj, pool="first")
+        np.testing.assert_array_equal(out.data[0], tokens_np[0])
 
     def test_mask_weighted_pooling(self):
-        tokens = Tensor(np.array([[1.0], [5.0], [99.0]], dtype=np.float32))
+        tokens = Tensor(np.array([[[1.0], [5.0], [99.0]]], dtype=np.float32))
         proj = LinearParams(Tensor(np.eye(1, dtype=np.float32)), Tensor(np.zeros(1, dtype=np.float32)))
-        out = align.project_pool(tokens, proj, mask=[1, 1, 0])
-        np.testing.assert_allclose(out.data, [3.0])
+        out = align.project_pool(tokens, proj, mask=[[1, 1, 0]])
+        np.testing.assert_allclose(out.data[0], [3.0])
+
+
+def cosine(u, v):
+    """Cosine of two vectors through the loss's own similarity matrix."""
+    return align._cosine_matrix(Tensor([u]), Tensor([v])).item()
 
 
 class TestCosine:
     def test_self_similarity_is_one(self):
-        u = Tensor([1.0, 2.0, -3.0])
-        assert abs(align.cosine(u, u).item() - 1.0) < 1e-6
+        u = [1.0, 2.0, -3.0]
+        assert abs(cosine(u, u) - 1.0) < 1e-6
 
     def test_orthogonal(self):
-        assert abs(align.cosine(Tensor([1.0, 0.0]), Tensor([0.0, 1.0])).item()) < 1e-7
+        assert abs(cosine([1.0, 0.0], [0.0, 1.0])) < 1e-7
 
     def test_45_degrees(self):
-        got = align.cosine(Tensor([1.0, 1.0]), Tensor([1.0, 0.0])).item()
+        got = cosine([1.0, 1.0], [1.0, 0.0])
         assert abs(got - 1 / math.sqrt(2)) < 1e-4
 
     def test_zero_vector_guarded(self):
-        got = align.cosine(Tensor([0.0, 0.0]), Tensor([1.0, 0.0])).item()
+        got = cosine([0.0, 0.0], [1.0, 0.0])
         assert got == 0.0
 
 
@@ -189,5 +194,5 @@ class TestCosineOracleAgreement:
         for _ in range(10):
             u = rng.normal(size=6).astype(np.float32)
             v = rng.normal(size=6).astype(np.float32)
-            got = align.cosine(Tensor(u), Tensor(v)).item()
+            got = cosine(u, v)
             assert abs(got - cos_oracle(u, v)) < 1e-6

@@ -25,9 +25,9 @@ def cfg():
 @pytest.fixture
 def streams():
     rng = np.random.default_rng(10)
-    hx = Tensor(rng.uniform(-1, 1, (6, 8)).astype(np.float32))
-    hz = Tensor(rng.uniform(-1, 1, (3, 8)).astype(np.float32))
-    t = Tensor(rng.uniform(-1, 1, 8).astype(np.float32))
+    hx = Tensor(rng.uniform(-1, 1, (6, 8)).astype(np.float32)[None])
+    hz = Tensor(rng.uniform(-1, 1, (3, 8)).astype(np.float32)[None])
+    t = Tensor(rng.uniform(-1, 1, 8).astype(np.float32)[None])
     return hx, hz, t
 
 
@@ -42,7 +42,7 @@ class TestModalMixup:
         hx, hz, t = streams
         gate = zero_linear(8, 8)
         gate.bias = Tensor(np.ones(8, dtype=np.float32))
-        fx, fz = bb.modal_mixup(hx, hz, Tensor(np.zeros(8, dtype=np.float32)), gate)
+        fx, fz = bb.modal_mixup(hx, hz, Tensor(np.zeros((1, 8), dtype=np.float32)), gate)
         np.testing.assert_allclose(fx.data, 2.0 * hx.data, atol=1e-7)
         np.testing.assert_allclose(fz.data, 2.0 * hz.data, atol=1e-7)
 
@@ -54,11 +54,11 @@ class TestModalMixup:
             bias=Tensor(rng.normal(size=8).astype(np.float32)),
         )
         fx, _ = bb.modal_mixup(hx, hz, t, gate)
-        g = t.data.astype(np.float64) @ gate.weight.data.astype(np.float64) + gate.bias.data
-        for i in range(hx.shape[0]):
+        g = t.data[0].astype(np.float64) @ gate.weight.data.astype(np.float64) + gate.bias.data
+        for i in range(hx.shape[1]):
             for j in range(8):
-                expect = float(hx.data[i, j]) * g[j] + float(hx.data[i, j])
-                assert abs(fx.data[i, j] - expect) < 1e-5
+                expect = float(hx.data[0, i, j]) * g[j] + float(hx.data[0, i, j])
+                assert abs(fx.data[0, i, j] - expect) < 1e-5
 
     def test_unshared_gate_variant(self, streams):
         hx, hz, t = streams
@@ -66,10 +66,10 @@ class TestModalMixup:
         params = bb.init_backbone(cfg, seed=9)
         assert params.mixup_template is not None
         fx, fz = bb.forward(hx, hz, t, params, cfg)
-        gx = t.data @ params.mixup.weight.data + params.mixup.bias.data
-        gz = t.data @ params.mixup_template.weight.data + params.mixup_template.bias.data
-        np.testing.assert_allclose(fx.data, hx.data * gx + hx.data, atol=1e-6)
-        np.testing.assert_allclose(fz.data, hz.data * gz + hz.data, atol=1e-6)
+        gx = t.data[0] @ params.mixup.weight.data + params.mixup.bias.data
+        gz = t.data[0] @ params.mixup_template.weight.data + params.mixup_template.bias.data
+        np.testing.assert_allclose(fx.data[0], hx.data[0] * gx + hx.data[0], atol=1e-6)
+        np.testing.assert_allclose(fz.data[0], hz.data[0] * gz + hz.data[0], atol=1e-6)
 
     def test_shared_gate_applies_to_both_streams(self, streams):
         hx, hz, t = streams
@@ -79,9 +79,9 @@ class TestModalMixup:
             bias=Tensor(np.zeros(8, dtype=np.float32)),
         )
         fx, fz = bb.modal_mixup(hx, hz, t, gate)
-        g = t.data @ gate.weight.data
-        np.testing.assert_allclose(fx.data, hx.data * g + hx.data, atol=1e-6)
-        np.testing.assert_allclose(fz.data, hz.data * g + hz.data, atol=1e-6)
+        g = t.data[0] @ gate.weight.data
+        np.testing.assert_allclose(fx.data[0], hx.data[0] * g + hx.data[0], atol=1e-6)
+        np.testing.assert_allclose(fz.data[0], hz.data[0] * g + hz.data[0], atol=1e-6)
 
 
 class TestEncoderLayer:
@@ -98,15 +98,15 @@ class TestEncoderLayer:
             var = ((m - mu) ** 2).mean(axis=-1, keepdims=True)
             return (m - mu) / np.sqrt(var + 1e-5)
 
-        expect = ln(ln(np.concatenate([hx.data, hz.data], axis=0)))
-        np.testing.assert_allclose(np.concatenate([out_x.data, out_z.data], axis=0), expect, atol=1e-5)
+        expect = ln(ln(np.concatenate([hx.data[0], hz.data[0]], axis=0)))
+        np.testing.assert_allclose(np.concatenate([out_x.data[0], out_z.data[0]], axis=0), expect, atol=1e-5)
 
     def test_single_token_single_head_closed_form(self):
         rng = np.random.default_rng(14)
         p = bb.init_encoder_layer(rng, 8)
         x = rng.uniform(-1, 1, (1, 8)).astype(np.float32)
-        out_x, out_z = bb.encoder_layer(Tensor(x), Tensor(np.zeros((0, 8), dtype=np.float32)), p, heads=1)
-        assert out_z.shape == (0, 8)
+        out_x, out_z = bb.encoder_layer(Tensor(x[None]), Tensor(np.zeros((1, 0, 8), dtype=np.float32)), p, heads=1)
+        assert out_z.shape == (1, 0, 8)
 
         def ln(m, gain, bias):
             mu = m.mean(axis=-1, keepdims=True)
@@ -122,7 +122,7 @@ class TestEncoderLayer:
         y1 = ln(x + att, p.ln1_gain.data, p.ln1_bias.data)
         ffn = gelu(y1 @ p.ffn1.weight.data + p.ffn1.bias.data) @ p.ffn2.weight.data + p.ffn2.bias.data
         y2 = ln(y1 + ffn, p.ln2_gain.data, p.ln2_bias.data)
-        np.testing.assert_allclose(out_x.data, y2, atol=1e-5)
+        np.testing.assert_allclose(out_x.data[0], y2, atol=1e-5)
 
     def test_permutation_equivariance_within_search_block(self, cfg, streams):
         hx, hz, _ = streams
@@ -130,9 +130,9 @@ class TestEncoderLayer:
         p = bb.init_encoder_layer(rng, 8)
         perm = np.array([3, 0, 5, 1, 4, 2])
         out_x, out_z = bb.encoder_layer(hx, hz, p, heads=cfg.heads)
-        px, pz = bb.encoder_layer(Tensor(hx.data[perm]), hz, p, heads=cfg.heads)
-        np.testing.assert_allclose(px.data, out_x.data[perm], atol=1e-5)
-        np.testing.assert_allclose(pz.data, out_z.data, atol=1e-5)
+        px, pz = bb.encoder_layer(Tensor(hx.data[:, perm]), hz, p, heads=cfg.heads)
+        np.testing.assert_allclose(px.data[0], out_x.data[0][perm], atol=1e-5)
+        np.testing.assert_allclose(pz.data[0], out_z.data[0], atol=1e-5)
 
     def test_pre_norm_variant_differs(self, cfg, streams):
         hx, hz, _ = streams
@@ -166,11 +166,11 @@ class TestForward:
         cfg = BackboneConfig(layers=4, heads=4, dim=96)
         params = bb.init_backbone(cfg, seed=2)
         rng = np.random.default_rng(17)
-        hx = Tensor(rng.uniform(-1, 1, (64, 96)).astype(np.float32))
-        hz = Tensor(rng.uniform(-1, 1, (16, 96)).astype(np.float32))
-        t = Tensor(rng.uniform(-1, 1, 96).astype(np.float32))
+        hx = Tensor(rng.uniform(-1, 1, (64, 96)).astype(np.float32)[None])
+        hz = Tensor(rng.uniform(-1, 1, (16, 96)).astype(np.float32)[None])
+        t = Tensor(rng.uniform(-1, 1, 96).astype(np.float32)[None])
         sx, sz = bb.forward(hx, hz, t, params, cfg)
-        assert sx.shape == (64, 96) and sz.shape == (16, 96)
+        assert sx.shape == (1, 64, 96) and sz.shape == (1, 16, 96)
 
     def test_batched_matches_single(self, cfg):
         params = bb.init_backbone(cfg, seed=3)
@@ -180,8 +180,8 @@ class TestForward:
         t = rng.uniform(-1, 1, (2, 8)).astype(np.float32)
         bx, _ = bb.forward(Tensor(hx), Tensor(hz), Tensor(t), params, cfg)
         for b in range(2):
-            sx, _ = bb.forward(Tensor(hx[b]), Tensor(hz[b]), Tensor(t[b]), params, cfg)
-            np.testing.assert_allclose(bx.data[b], sx.data, atol=1e-6)
+            sx, _ = bb.forward(Tensor(hx[b][None]), Tensor(hz[b][None]), Tensor(t[b][None]), params, cfg)
+            np.testing.assert_allclose(bx.data[b], sx.data[0], atol=1e-6)
 
     def test_gradient_reaches_template_stream(self, cfg, streams):
         # a generic linear functional of the search tokens; sum(Sx^2) would be
@@ -209,7 +209,7 @@ class TestForward:
         hx, hz, t = streams
         params = bb.init_backbone(cfg, seed=6)
         params.mixup = zero_linear(8, 8)
-        other_t = Tensor(np.ones(8, dtype=np.float32))
+        other_t = Tensor(np.ones((1, 8), dtype=np.float32))
         a = bb.forward(hx, hz, t, params, cfg)
         b = bb.forward(hx, hz, other_t, params, cfg)
         assert a[0].data.tobytes() == b[0].data.tobytes()

@@ -226,6 +226,18 @@ class TestCliTrain:
         iters = [int(r.split(",")[0]) for r in rows[1:]]
         assert iters and iters[0] > 4 and iters[-1] == 8
 
+    def test_resume_without_out_writes_next_to_checkpoint(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(small_config_text() + "log_every=1\n")
+        main(["generate", "--out", str(tmp_path / "data"), "--frames", "6", "--train-count", "2", "--eval-count", "0"])
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--config", str(cfg), "--data", "data/train", "--out", "run", "--iters", "4", "--batch", "2", "--quiet"]) == 0
+        assert main(["train", "--data", "data/train", "--resume", "run/checkpoint.aio", "--iters", "6", "--quiet"]) == 0
+        rows = (tmp_path / "run" / "loss_log.csv").read_text().strip().splitlines()
+        assert [int(r.split(",")[0]) for r in rows[1:]] == [1, 2, 3, 4, 5, 6]
+        assert load_checkpoint(tmp_path / "run" / "checkpoint.aio").iteration == 6
+        assert not (tmp_path / "loss_log.csv").exists() and not (tmp_path / "checkpoint.aio").exists()
+
     def test_missing_data_dir_is_error(self, small_cfg_file, tmp_path, capsys):
         assert main(["train", "--config", small_cfg_file, "--out", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err

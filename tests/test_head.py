@@ -16,18 +16,19 @@ LN2 = math.log(2.0)
 
 
 def make_output(score, offset, size):
-    return HeadOutput(Tensor(score), Tensor(offset), Tensor(size))
+    """One sample's (C, G, G) maps as the batch-of-1 head output."""
+    return HeadOutput(Tensor(score[None]), Tensor(offset[None]), Tensor(size[None]))
 
 
 class TestHeadForward:
     def test_desk_shapes(self):
         params = hd.init_head(dim=96, seed=0)
         rng = np.random.default_rng(0)
-        sx = Tensor(rng.uniform(-1, 1, (64, 96)).astype(np.float32))
+        sx = Tensor(rng.uniform(-1, 1, (64, 96)).astype(np.float32)[None])
         out = hd.head_forward(sx, params)
-        assert out.score.shape == (1, 8, 8)
-        assert out.offset.shape == (2, 8, 8)
-        assert out.size.shape == (2, 8, 8)
+        assert out.score.shape == (1, 1, 8, 8)
+        assert out.offset.shape == (1, 2, 8, 8)
+        assert out.size.shape == (1, 2, 8, 8)
         assert out.grid == 8
 
     def test_zero_final_layer_gives_half_maps(self):
@@ -36,17 +37,17 @@ class TestHeadForward:
             last = branch.convs[-1]
             last.kernels.data[:] = 0.0
             last.bias.data[:] = 0.0
-        sx = Tensor(np.random.default_rng(1).uniform(-1, 1, (16, 16)).astype(np.float32))
+        sx = Tensor(np.random.default_rng(1).uniform(-1, 1, (16, 16)).astype(np.float32)[None])
         out = hd.head_forward(sx, params)
-        np.testing.assert_allclose(out.score.data, 0.5, atol=1e-7)
-        np.testing.assert_allclose(out.offset.data, 0.5, atol=1e-7)
-        np.testing.assert_allclose(out.size.data, 0.5, atol=1e-7)
+        np.testing.assert_allclose(out.score.data[0], 0.5, atol=1e-7)
+        np.testing.assert_allclose(out.offset.data[0], 0.5, atol=1e-7)
+        np.testing.assert_allclose(out.size.data[0], 0.5, atol=1e-7)
 
     def test_branch_matches_conv_oracle_composition(self):
         params = hd.init_head(dim=6, seed=2, channels=(4, 4, 3))
         rng = np.random.default_rng(2)
         sx_np = rng.uniform(-1, 1, (16, 6)).astype(np.float32)
-        out = hd.head_forward(Tensor(sx_np), params)
+        out = hd.head_forward(Tensor(sx_np[None]), params)
 
         x = sx_np.reshape(4, 4, 6).transpose(2, 0, 1).astype(np.float64)
         convs = params.score.convs
@@ -56,27 +57,27 @@ class TestHeadForward:
                 x = np.maximum(x, 0.0)
             else:
                 x = 1.0 / (1.0 + np.exp(-x))
-        np.testing.assert_allclose(out.score.data, x, atol=1e-4)
+        np.testing.assert_allclose(out.score.data[0], x, atol=1e-4)
 
     def test_maps_bounded_by_sigmoid(self):
         params = hd.init_head(dim=8, seed=3, channels=(4, 4, 4))
-        sx = Tensor(np.random.default_rng(3).uniform(-5, 5, (16, 8)).astype(np.float32))
+        sx = Tensor(np.random.default_rng(3).uniform(-5, 5, (16, 8)).astype(np.float32)[None])
         out = hd.head_forward(sx, params)
         for m in (out.score, out.offset, out.size):
-            assert np.all(m.data > 0.0) and np.all(m.data < 1.0)
+            assert np.all(m.data[0] > 0.0) and np.all(m.data[0] < 1.0)
 
     def test_non_square_token_count_rejected(self):
         params = hd.init_head(dim=8, seed=4, channels=(4, 4, 4))
         with pytest.raises(ConfigurationError):
-            hd.head_forward(Tensor(np.zeros((12, 8), dtype=np.float32)), params)
+            hd.head_forward(Tensor(np.zeros((1, 12, 8), dtype=np.float32)), params)
 
     def test_batched_matches_single(self):
         params = hd.init_head(dim=8, seed=5, channels=(4, 4, 4))
         rng = np.random.default_rng(5)
         sx = rng.uniform(-1, 1, (2, 16, 8)).astype(np.float32)
         batched = hd.head_forward(Tensor(sx), params)
-        single = hd.head_forward(Tensor(sx[1]), params)
-        np.testing.assert_allclose(batched.score.data[1], single.score.data, atol=1e-6)
+        single = hd.head_forward(Tensor(sx[1][None]), params)
+        np.testing.assert_allclose(batched.score.data[1], single.score.data[0], atol=1e-6)
 
 
 class TestGaussianTarget:
@@ -270,6 +271,14 @@ class TestDecode:
         got = hd.decode(make_output(score, offset, size), CropMeta(0.0, 0.0, 1.0, stride))
         for a, b in zip((got.cx, got.cy, got.w, got.h), (want.cx, want.cy, want.w, want.h)):
             assert abs(a - b) <= 1e-5
+
+    def test_unbatched_or_multi_sample_maps_rejected(self):
+        g = 8
+        maps = (np.zeros((1, g, g), np.float32), np.zeros((2, g, g), np.float32), np.zeros((2, g, g), np.float32))
+        with pytest.raises(ContractError):
+            hd.decode(HeadOutput(*(Tensor(m) for m in maps)), CropMeta(0.0, 0.0, 1.0, 8))
+        with pytest.raises(ContractError):
+            hd.decode(HeadOutput(*(Tensor(np.stack([m, m])) for m in maps)), CropMeta(0.0, 0.0, 1.0, 8))
 
 
 class TestCropMeta:

@@ -132,22 +132,22 @@ class TestConv2d:
         k = np.zeros((2, 2, 1, 1), dtype=np.float32)
         k[0, 0, 0, 0] = 1.0
         k[1, 1, 0, 0] = 1.0
-        np.testing.assert_array_equal(nc.conv2d(Tensor(x), Tensor(k)).data, x)
+        np.testing.assert_array_equal(nc.conv2d(Tensor(x[None]), Tensor(k)).data[0], x)
 
     def test_ones_kernel_center_sum(self):
-        x = Tensor(np.ones((1, 5, 5), dtype=np.float32))
+        x = Tensor(np.ones((1, 1, 5, 5), dtype=np.float32))
         k = Tensor(np.ones((1, 1, 3, 3), dtype=np.float32))
         out = nc.conv2d(x, k, stride=1, padding=1)
-        assert out.shape == (1, 5, 5)
-        assert out.data[0, 2, 2] == 9.0
-        assert out.data[0, 0, 0] == 4.0  # corner sees a 2x2 window
+        assert out.shape == (1, 1, 5, 5)
+        assert out.data[0, 0, 2, 2] == 9.0
+        assert out.data[0, 0, 0, 0] == 4.0  # corner sees a 2x2 window
 
     @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1)])
     def test_matches_quadruple_loop_oracle(self, stride, padding):
         rng = np.random.default_rng(12)
         x = rng.uniform(-1, 1, (3, 7, 7)).astype(np.float32)
         k = rng.uniform(-1, 1, (4, 3, 3, 3)).astype(np.float32)
-        got = nc.conv2d(Tensor(x), Tensor(k), stride=stride, padding=padding).data
+        got = nc.conv2d(Tensor(x[None]), Tensor(k), stride=stride, padding=padding).data[0]
         np.testing.assert_allclose(got, conv2d_oracle(x, k, stride, padding), atol=1e-5)
 
     def test_batched_matches_per_image(self):
@@ -160,11 +160,11 @@ class TestConv2d:
 
     def test_non_integral_output_is_config_error(self):
         with pytest.raises(ConfigurationError):
-            nc.conv2d(Tensor(np.zeros((1, 6, 6))), Tensor(np.zeros((1, 1, 3, 3))), stride=2, padding=0)
+            nc.conv2d(Tensor(np.zeros((1, 1, 6, 6))), Tensor(np.zeros((1, 1, 3, 3))), stride=2, padding=0)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigurationError):
-            nc.conv2d(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 1, 2, 2))))
+            nc.conv2d(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 2, 2))))
 
 
 class TestGradCheck:
@@ -270,7 +270,7 @@ class TestBackwardMatchesFiniteDifferences:
     def test_conv2d(self):
         _check(
             lambda x, k: nc.tensor_sum(nc.conv2d(x, k, stride=1, padding=1) ** 2.0),
-            [self.rand(2, 5, 5), self.rand(3, 2, 3, 3)],
+            [self.rand(1, 2, 5, 5), self.rand(3, 2, 3, 3)],
         )
 
     def test_reused_operand(self):

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import numcore as nc
 from .backbone import LinearParams, init_linear
+from .embedders import reduce_language
 from .errors import ConfigurationError, ContractError
 from .numcore import Tensor, named_stream
 
@@ -57,31 +58,17 @@ def init_align(dim: int, align_dim: int, seed: int) -> AlignProjections:
     )
 
 
-def project_pool(tokens: Tensor, proj: LinearParams, mask=None, pool: str = "mean") -> Tensor:
-    """Pool each sample's tokens to one vector, then project it.
+def project_pool(tokens: Tensor, proj: LinearParams, mask=None) -> Tensor:
+    """Mean-pool each sample's tokens to one vector, then project it.
 
-    ``tokens`` is (B, N_tok, D); the result is (B, C). ``mean`` averages rows
-    (mask-weighted when a mask is given, so padded rows never contribute);
-    ``first`` takes row 0, the [CLS]-style choice for the language stream.
+    ``tokens`` is (B, N_tok, D); the result is (B, C). With a mask the mean
+    is the language stream's mask-weighted one (``reduce_language``), so
+    padded rows never contribute.
     """
     tokens = nc.as_tensor(tokens)
-    b, n, d = tokens.shape
-    if n < 1:
+    if tokens.shape[1] < 1:
         raise ContractError("project_pool needs at least one token")
-    if pool == "first":
-        pooled = nc.reshape(nc.narrow(tokens, 1, 0, 1), (b, d))
-    elif pool == "mean":
-        if mask is None:
-            pooled = nc.mean(tokens, axis=1)
-        else:
-            m = np.asarray(mask, dtype=tokens.data.dtype).reshape(b, n)
-            counts = m.sum(axis=1)
-            if np.any(counts <= 0):
-                raise ContractError("mask excludes every token")
-            weighted = tokens * Tensor(m[:, :, None], dtype=tokens.dtype)
-            pooled = nc.tensor_sum(weighted, axis=1) / Tensor(counts[:, None], dtype=tokens.dtype)
-    else:
-        raise ConfigurationError(f"unknown pooling {pool!r}")
+    pooled = nc.mean(tokens, axis=1) if mask is None else reduce_language(tokens, mask)
     return proj(pooled)
 
 

@@ -79,45 +79,38 @@ class BackboneConfig:
     layers: int = 4
     heads: int = 4
     dim: int = 96
-    norm_placement: str = "post"
-    mixup_shared_linear: bool = True
 
     def __post_init__(self):
         if self.layers < 0 or self.heads < 1:
             raise ConfigurationError(f"invalid layer/head counts {self.layers}/{self.heads}")
         if self.dim % self.heads:
             raise ConfigurationError(f"dim {self.dim} is not divisible by heads {self.heads}")
-        if self.norm_placement not in ("post", "pre"):
-            raise ConfigurationError(f"norm_placement must be 'post' or 'pre', got {self.norm_placement!r}")
 
 
 @dataclass
 class BackboneParams:
     mixup: LinearParams
-    mixup_template: LinearParams | None  # used only when the gate is not shared
     layers: list[EncoderLayerParams] = field(default_factory=list)
 
 
 def init_backbone(cfg: BackboneConfig, seed: int) -> BackboneParams:
     rng = named_stream(seed, "init.backbone")
     mixup = init_linear(rng, cfg.dim, cfg.dim)
-    mixup_template = None if cfg.mixup_shared_linear else init_linear(rng, cfg.dim, cfg.dim)
     layers = [init_encoder_layer(rng, cfg.dim) for _ in range(cfg.layers)]
-    return BackboneParams(mixup=mixup, mixup_template=mixup_template, layers=layers)
+    return BackboneParams(mixup=mixup, layers=layers)
 
 
-def modal_mixup(hx: Tensor, hz: Tensor, t: Tensor, gate: LinearParams, gate_template: LinearParams | None = None):
+def modal_mixup(hx: Tensor, hz: Tensor, t: Tensor, gate: LinearParams):
     """Gate both vision streams elementwise by the projected language vector.
 
     F = H * broadcast(gate(t)) + H for each stream, with streams (B, N, D)
-    and ``t`` (B, D); the same projection is applied to search and template
-    unless a separate template gate is given. A zero gate output leaves both
-    streams bit-exactly unchanged.
+    and ``t`` (B, D); the one projection is shared by search and template.
+    A zero gate output leaves both streams bit-exactly unchanged.
     """
-    gx = gate(t)
-    gz = gx if gate_template is None else gate_template(t)
-    gx = nc.reshape(gx, (gx.shape[0], 1, gx.shape[-1]))  # (B, 1, D)
-    gz = nc.reshape(gz, (gz.shape[0], 1, gz.shape[-1]))
+    g = gate(t)
+    # one (B, 1, D) view per stream, so a train step keeps its 483 tape nodes
+    gx = nc.reshape(g, (g.shape[0], 1, g.shape[-1]))
+    gz = nc.reshape(g, (g.shape[0], 1, g.shape[-1]))
     fx = hx * gx + hx
     fz = hz * gz + hz
     return fx, fz
@@ -145,21 +138,17 @@ def _ffn(x: Tensor, p: EncoderLayerParams) -> Tensor:
     return p.ffn2(nc.gelu(p.ffn1(x)))
 
 
-def encoder_layer(fx: Tensor, fz: Tensor, p: EncoderLayerParams, heads: int, norm_placement: str = "post"):
-    """One encoder layer over the concatenated [search; template] sequence.
+def encoder_layer(fx: Tensor, fz: Tensor, p: EncoderLayerParams, heads: int):
+    """One post-norm encoder layer over the concatenated [search; template] sequence.
 
-    ``fx`` is (B, N_x, D) and ``fz`` (B, N_z, D). Post placement (default)
-    normalizes after each residual add; the pre variant normalizes sub-layer
-    inputs instead. Returns the streams split back at the search token count.
+    ``fx`` is (B, N_x, D) and ``fz`` (B, N_z, D). Each residual add is
+    followed by a layernorm, as the update equations read. Returns the
+    streams split back at the search token count.
     """
     n_x = fx.shape[1]
     x = nc.concat([fx, fz], axis=1)
-    if norm_placement == "post":
-        x = nc.layernorm(x + _mhsa(x, p, heads), p.ln1_gain, p.ln1_bias)
-        x = nc.layernorm(x + _ffn(x, p), p.ln2_gain, p.ln2_bias)
-    else:
-        x = x + _mhsa(nc.layernorm(x, p.ln1_gain, p.ln1_bias), p, heads)
-        x = x + _ffn(nc.layernorm(x, p.ln2_gain, p.ln2_bias), p)
+    x = nc.layernorm(x + _mhsa(x, p, heads), p.ln1_gain, p.ln1_bias)
+    x = nc.layernorm(x + _ffn(x, p), p.ln2_gain, p.ln2_bias)
     out_x = nc.narrow(x, 1, 0, n_x)
     out_z = nc.narrow(x, 1, n_x, x.shape[1] - n_x)
     return out_x, out_z
@@ -174,7 +163,7 @@ def forward(hx: Tensor, hz: Tensor, t: Tensor | None, params: BackboneParams, cf
     if t is None:
         fx, fz = hx, hz
     else:
-        fx, fz = modal_mixup(hx, hz, t, params.mixup, params.mixup_template)
+        fx, fz = modal_mixup(hx, hz, t, params.mixup)
     for layer in params.layers:
-        fx, fz = encoder_layer(fx, fz, layer, cfg.heads, cfg.norm_placement)
+        fx, fz = encoder_layer(fx, fz, layer, cfg.heads)
     return fx, fz

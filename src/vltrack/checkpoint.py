@@ -11,7 +11,9 @@ Layout (all integers little-endian):
     u32 rng-state length | rng state json
 
 Save -> load -> save is byte-identical; loading under a config whose model
-shape disagrees with the stored snapshot fails fast. A save writes a
+shape disagrees with the stored snapshot fails fast. A config key retired
+from the model loads when it holds the one value still built
+(``RETIRED_KEYS``) and fails otherwise. A save writes a
 temporary file beside the target and renames it over the target, so an
 interrupted save leaves the previous checkpoint as it was.
 """
@@ -43,10 +45,18 @@ MODEL_SHAPE_KEYS = (
     "n_t",
     "align_dim",
     "head_channels",
-    "norm_placement",
-    "mixup_shared_linear",
     "vocab_file",
 )
+
+# config keys that no longer exist, each with the one value the model still
+# builds; checkpoints written while they existed store them
+RETIRED_KEYS = {
+    "lang_pool": "mean",
+    "mean_includes_cls": "true",
+    "mixup_shared_linear": "true",
+    "norm_placement": "post",
+    "token_reduce": "mean",
+}
 
 
 @dataclass
@@ -60,6 +70,21 @@ class CheckpointState:
 
 def model_signature(cfg: Config) -> dict:
     return {k: getattr(cfg, k) for k in MODEL_SHAPE_KEYS}
+
+
+def _drop_retired_keys(text: str, path) -> str:
+    """Drop retired keys stored at their one supported value; reject any other value."""
+    kept = []
+    for line in text.splitlines(keepends=True):
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in RETIRED_KEYS:
+            kept.append(line)
+        elif value != RETIRED_KEYS[key]:
+            raise CheckpointError(
+                f"{path}: retired config key {key}={value} names a model variant that no longer exists "
+                f"(only {key}={RETIRED_KEYS[key]} loads)"
+            )
+    return "".join(kept)
 
 
 def _encode_rng_state(state: dict) -> bytes:
@@ -160,7 +185,7 @@ def load_checkpoint(path, expect: Config | None = None) -> CheckpointState:
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     (config_len,) = r.unpack("<I")
-    stored_cfg = parse_config_text(r.take(config_len).decode("utf-8"))
+    stored_cfg = parse_config_text(_drop_retired_keys(r.take(config_len).decode("utf-8"), path))
     if expect is not None and model_signature(expect) != model_signature(stored_cfg):
         stored = model_signature(stored_cfg)
         asked = model_signature(expect)

@@ -29,13 +29,8 @@ class Config:
     n_t: int = 16
     align_dim: int = 64
     head_channels: str = "64,32,16"
-    norm_placement: str = "post"  # "post" (as the update equations read) | "pre"
-    mixup_shared_linear: bool = True
 
     # language handling
-    token_reduce: str = "mean"  # "cls" | "mean"
-    mean_includes_cls: bool = True
-    lang_pool: str = "mean"  # alignment pooling for the language stream: "mean" | "first"
     # word-embedding init scale; sized so the reduced language vector and the
     # mixup gate carry O(1) signal into the vision streams from step one
     text_embed_std: float = 1.0
@@ -91,9 +86,6 @@ class Config:
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be non-negative")
         for name, allowed in (
-            ("norm_placement", ("post", "pre")),
-            ("token_reduce", ("cls", "mean")),
-            ("lang_pool", ("mean", "first")),
             ("denominator_mode", ("standard", "literal")),
             ("train_prompt", ("sentence", "class")),
             ("eval_prompt", ("sentence", "class")),

@@ -168,22 +168,15 @@ def patch_embed(img: Tensor, cfg: PatchConfig, proj: Tensor, pos: Tensor) -> Ten
     return x @ proj + pos
 
 
-def reduce_language(tokens: Tensor, mask, mode: str = "mean", include_cls: bool = True) -> Tensor:
+def reduce_language(tokens: Tensor, mask) -> Tensor:
     """Collapse language tokens (B, N_t, D) to one vector per prompt, (B, D).
 
-    ``cls`` returns row 0; ``mean`` returns the mask-weighted average, by
-    default including the [CLS] row. Padded rows never contribute.
+    Returns the mask-weighted mean of the rows, [CLS] included; padded rows
+    never contribute.
     """
-    if mode not in ("cls", "mean"):
-        raise ConfigurationError(f"unknown language reduction mode {mode!r}")
     tokens = nc.as_tensor(tokens)
-    b, n, d = tokens.shape
+    b, n, _ = tokens.shape
     m = np.asarray(mask, dtype=tokens.data.dtype).reshape(b, n)
-    if mode == "cls":
-        return nc.reshape(nc.narrow(tokens, 1, 0, 1), (b, d))
-    if not include_cls:
-        m = m.copy()
-        m[:, 0] = 0
     counts = m.sum(axis=1)
     if np.any(counts <= 0):
         raise ContractError("mean reduction needs at least one masked-in token")

@@ -35,13 +35,7 @@ class TrackerModel:
         self.cfg = cfg
         self.vocab = vocab
         self.patch_cfg = PatchConfig(cfg.patch, cfg.search_size, cfg.template_size, cfg.dim)
-        self.backbone_cfg = BackboneConfig(
-            layers=cfg.layers,
-            heads=cfg.heads,
-            dim=cfg.dim,
-            norm_placement=cfg.norm_placement,
-            mixup_shared_linear=cfg.mixup_shared_linear,
-        )
+        self.backbone_cfg = BackboneConfig(layers=cfg.layers, heads=cfg.heads, dim=cfg.dim)
         self.contrast_cfg = ContrastConfig(tau=cfg.tau, denominator_mode=cfg.denominator_mode)
 
         rng = named_stream(cfg.seed, "init.embed")
@@ -72,9 +66,6 @@ class TrackerModel:
             "mixup.weight": self.backbone.mixup.weight,
             "mixup.bias": self.backbone.mixup.bias,
         }
-        if self.backbone.mixup_template is not None:
-            params["mixup_template.weight"] = self.backbone.mixup_template.weight
-            params["mixup_template.bias"] = self.backbone.mixup_template.bias
         for i, layer in enumerate(self.backbone.layers):
             for tag in ("q", "k", "v", "o", "ffn1", "ffn2"):
                 lin = getattr(layer, tag)
@@ -121,8 +112,9 @@ class TrackerModel:
         h0x = patch_embed(Tensor(search, dtype=dtype), self.patch_cfg, self.patch_proj, self.pos_search)
         h0z = patch_embed(Tensor(template, dtype=dtype), self.patch_cfg, self.patch_proj, self.pos_template)
         ids = np.asarray(ids, dtype=np.int64)
-        if ids.max(initial=0) >= self.text_table.shape[0]:
-            raise VocabularyError(f"token id {int(ids.max())} outside the embedding table")
+        bad = ids[(ids < 0) | (ids >= self.text_table.shape[0])]
+        if bad.size:
+            raise VocabularyError(f"token id {int(bad[0])} outside the embedding table")
         h0t = nc.take_rows(self.text_table, ids)
         return h0x, h0z, h0t
 
@@ -138,10 +130,10 @@ class TrackerModel:
         h0x, h0z, h0t = self.embed_inputs(search, template, ids)
         fx = project_pool(h0x, self.align.search)
         fz = project_pool(h0z, self.align.template)
-        ft = project_pool(h0t, self.align.language, mask=mask, pool=self.cfg.lang_pool)
+        ft = project_pool(h0t, self.align.language, mask=mask)
         reduced = None
         if use_language:
-            reduced = reduce_language(h0t, mask, self.cfg.token_reduce, self.cfg.mean_includes_cls)
+            reduced = reduce_language(h0t, mask)
         sx, sz = bb.forward(h0x, h0z, reduced, self.backbone, self.backbone_cfg)
         out = head_forward(sx, self.head)
         return ForwardResult(out, fx, fz, ft, sx, sz)

@@ -419,16 +419,6 @@ def sigmoid(a):
     return _record(out, (a,), backward)
 
 
-def tanh(a):
-    a = as_tensor(a)
-    out = _result(np.tanh(a.data), a.requires_grad)
-
-    def backward(g):
-        return (g * (1.0 - out.data * out.data),)
-
-    return _record(out, (a,), backward)
-
-
 # ---------------------------------------------------------------------------
 # Reductions
 # ---------------------------------------------------------------------------

@@ -46,13 +46,6 @@ class TestProjectPool:
         expect = pooled @ w.astype(np.float64) + b
         np.testing.assert_allclose(out.data[0], expect, atol=1e-6)
 
-    def test_first_token_pooling(self):
-        rng = np.random.default_rng(22)
-        tokens_np = rng.normal(size=(4, 3)).astype(np.float32)
-        proj = LinearParams(Tensor(np.eye(3, dtype=np.float32)), Tensor(np.zeros(3, dtype=np.float32)))
-        out = align.project_pool(Tensor(tokens_np[None]), proj, pool="first")
-        np.testing.assert_array_equal(out.data[0], tokens_np[0])
-
     def test_mask_weighted_pooling(self):
         tokens = Tensor(np.array([[[1.0], [5.0], [99.0]]], dtype=np.float32))
         proj = LinearParams(Tensor(np.eye(1, dtype=np.float32)), Tensor(np.zeros(1, dtype=np.float32)))

@@ -60,17 +60,6 @@ class TestModalMixup:
                 expect = float(hx.data[0, i, j]) * g[j] + float(hx.data[0, i, j])
                 assert abs(fx.data[0, i, j] - expect) < 1e-5
 
-    def test_unshared_gate_variant(self, streams):
-        hx, hz, t = streams
-        cfg = BackboneConfig(layers=0, heads=2, dim=8, mixup_shared_linear=False)
-        params = bb.init_backbone(cfg, seed=9)
-        assert params.mixup_template is not None
-        fx, fz = bb.forward(hx, hz, t, params, cfg)
-        gx = t.data[0] @ params.mixup.weight.data + params.mixup.bias.data
-        gz = t.data[0] @ params.mixup_template.weight.data + params.mixup_template.bias.data
-        np.testing.assert_allclose(fx.data[0], hx.data[0] * gx + hx.data[0], atol=1e-6)
-        np.testing.assert_allclose(fz.data[0], hz.data[0] * gz + hz.data[0], atol=1e-6)
-
     def test_shared_gate_applies_to_both_streams(self, streams):
         hx, hz, t = streams
         rng = np.random.default_rng(12)
@@ -133,14 +122,6 @@ class TestEncoderLayer:
         px, pz = bb.encoder_layer(Tensor(hx.data[:, perm]), hz, p, heads=cfg.heads)
         np.testing.assert_allclose(px.data[0], out_x.data[0][perm], atol=1e-5)
         np.testing.assert_allclose(pz.data[0], out_z.data[0], atol=1e-5)
-
-    def test_pre_norm_variant_differs(self, cfg, streams):
-        hx, hz, _ = streams
-        rng = np.random.default_rng(16)
-        p = bb.init_encoder_layer(rng, 8)
-        post_x, _ = bb.encoder_layer(hx, hz, p, heads=2, norm_placement="post")
-        pre_x, _ = bb.encoder_layer(hx, hz, p, heads=2, norm_placement="pre")
-        assert not np.allclose(post_x.data, pre_x.data)
 
 
 class TestForward:
@@ -219,7 +200,3 @@ class TestConfig:
     def test_dim_head_divisibility(self):
         with pytest.raises(ConfigurationError):
             BackboneConfig(layers=1, heads=5, dim=8)
-
-    def test_norm_placement_validated(self):
-        with pytest.raises(ConfigurationError):
-            BackboneConfig(norm_placement="sandwich")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -118,6 +119,45 @@ class TestCheckpoint:
         save_checkpoint(path, cfg, model, opt, 0, rng.bit_generator.state)
         with pytest.raises(CheckpointError):
             load_checkpoint(path, expect=cfg.replace(dim=64))
+
+    def test_retired_keys_load_only_at_their_former_default(self, tmp_path):
+        cfg, model, opt, rng = self.make_parts(tmp_path)
+        path = tmp_path / "c.aio"
+        save_checkpoint(path, cfg, model, opt, 3, rng.bit_generator.state)
+        original = path.read_bytes()
+
+        def with_retired_lines(**retired):
+            # splice the lines into the sorted config block, as a checkpoint
+            # written while these keys existed stored them
+            (n,) = struct.unpack("<I", original[8:12])
+            lines = original[12 : 12 + n].decode("utf-8").splitlines(keepends=True)
+            lines += [f"{key}={value}\n" for key, value in retired.items()]
+            block = "".join(sorted(lines)).encode("utf-8")
+            old = tmp_path / "old.aio"
+            old.write_bytes(original[:8] + struct.pack("<I", len(block)) + block + original[12 + n :])
+            return old
+
+        former = dict(
+            lang_pool="mean",
+            mean_includes_cls="true",
+            mixup_shared_linear="true",
+            norm_placement="post",
+            token_reduce="mean",
+        )
+        state = load_checkpoint(with_retired_lines(**former))
+        assert state.config == cfg
+        for name, arr in load_checkpoint(path).params.items():
+            assert state.params[name].tobytes() == arr.tobytes()
+        model2 = TrackerModel(state.config, resolve_vocab(state.config))
+        model2.load_state(state.params)
+        opt2 = AdamW(model2.named_parameters(), lr=cfg.lr)
+        opt2.load_state_dict(state.optimizer)
+        resaved = tmp_path / "resaved.aio"
+        save_checkpoint(resaved, state.config, model2, opt2, state.iteration, state.rng_state)
+        assert resaved.read_bytes() == original
+
+        with pytest.raises(CheckpointError, match="norm_placement=pre"):
+            load_checkpoint(with_retired_lines(**dict(former, norm_placement="pre")))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):

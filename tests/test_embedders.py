@@ -108,8 +108,9 @@ class TestEmbedText:
         for k, token_id in enumerate(tp.ids):
             np.testing.assert_array_equal(out.data[0, k], table_np[token_id])
 
-    def test_id_out_of_range(self, vocab):
-        tp = TokenizedPrompt((CLS_ID, vocab.size), (1, 1))
+    @pytest.mark.parametrize("bad_id", [lambda v: v.size, lambda v: -1], ids=["past-end", "negative"])
+    def test_id_out_of_range(self, vocab, bad_id):
+        tp = TokenizedPrompt((CLS_ID, bad_id(vocab)), (1, 1))
         with pytest.raises(VocabularyError):
             embed_prompt(TrackerModel(Config(), vocab), tp)
 
@@ -177,50 +178,39 @@ class TestPatchEmbed:
 class TestReduceLanguage:
     def test_identical_rows_mean_is_that_row(self):
         tokens = Tensor(np.tile([1.0, 2.0, 3.0], (1, 4, 1)).astype(np.float32))
-        out = emb.reduce_language(tokens, [[1, 1, 1, 1]], "mean")
+        out = emb.reduce_language(tokens, [[1, 1, 1, 1]])
         np.testing.assert_allclose(out.data[0], [1.0, 2.0, 3.0], atol=1e-6)
-
-    def test_cls_is_row_zero(self):
-        rng = np.random.default_rng(5)
-        tokens = Tensor(rng.normal(size=(4, 3)).astype(np.float32)[None])
-        out = emb.reduce_language(tokens, [[1, 1, 0, 0]], "cls")
-        np.testing.assert_array_equal(out.data[0], tokens.data[0, 0])
 
     def test_hand_average(self):
         tokens = Tensor(np.array([[[1.0, 0.0], [0.0, 1.0]]], dtype=np.float32))
-        out = emb.reduce_language(tokens, [[1, 1]], "mean")
+        out = emb.reduce_language(tokens, [[1, 1]])
         np.testing.assert_allclose(out.data[0], [0.5, 0.5])
 
     def test_mask_excludes_padded_rows(self):
         tokens = Tensor(np.array([[[2.0], [4.0], [100.0]]], dtype=np.float32))
-        out = emb.reduce_language(tokens, [[1, 1, 0]], "mean")
-        np.testing.assert_allclose(out.data[0], [3.0])
-
-    def test_exclude_cls_flag(self):
-        tokens = Tensor(np.array([[[10.0], [2.0], [4.0]]], dtype=np.float32))
-        out = emb.reduce_language(tokens, [[1, 1, 1]], "mean", include_cls=False)
+        out = emb.reduce_language(tokens, [[1, 1, 0]])
         np.testing.assert_allclose(out.data[0], [3.0])
 
     def test_all_zero_mask_rejected(self):
         tokens = Tensor(np.ones((1, 3, 2), dtype=np.float32))
         with pytest.raises(ContractError):
-            emb.reduce_language(tokens, [[0, 0, 0]], "mean")
+            emb.reduce_language(tokens, [[0, 0, 0]])
 
     def test_permutation_invariance_over_non_cls_rows(self):
         rng = np.random.default_rng(6)
         tokens_np = rng.normal(size=(5, 4)).astype(np.float32)
         permuted = tokens_np.copy()
         permuted[1:] = permuted[[3, 1, 4, 2]]
-        a = emb.reduce_language(Tensor(tokens_np[None]), [[1] * 5], "mean").data[0]
-        b = emb.reduce_language(Tensor(permuted[None]), [[1] * 5], "mean").data[0]
+        a = emb.reduce_language(Tensor(tokens_np[None]), [[1] * 5]).data[0]
+        b = emb.reduce_language(Tensor(permuted[None]), [[1] * 5]).data[0]
         np.testing.assert_allclose(a, b, atol=1e-6)
 
     def test_batched(self):
         rng = np.random.default_rng(7)
         tokens = Tensor(rng.normal(size=(2, 4, 3)).astype(np.float32))
         mask = np.array([[1, 1, 0, 0], [1, 1, 1, 0]])
-        out = emb.reduce_language(tokens, mask, "mean")
-        single0 = emb.reduce_language(Tensor(tokens.data[:1]), mask[:1], "mean")
+        out = emb.reduce_language(tokens, mask)
+        single0 = emb.reduce_language(Tensor(tokens.data[:1]), mask[:1])
         assert out.shape == (2, 3)
         np.testing.assert_allclose(out.data[0], single0.data[0], atol=1e-6)
 
@@ -229,6 +219,6 @@ class TestReduceLanguage:
         tp = emb.tokenize("red circle", vocab, 4)
         with nc.Tape() as tape:
             tokens = nc.take_rows(table, [tp.ids])
-            red = emb.reduce_language(tokens, [tp.mask], "mean")
+            red = emb.reduce_language(tokens, [tp.mask])
             tape.backward(nc.tensor_sum(red * red))
         assert table.grad is not None and np.any(table.grad != 0)

@@ -25,13 +25,7 @@ class LinearParams:
     bias: Tensor
 
     def __call__(self, x: Tensor) -> Tensor:
-        # Flatten leading axes into one matmul; small stacked GEMMs are slow.
-        if x.ndim == 2:
-            return x @ self.weight + self.bias
-        lead = tuple(x.shape[:-1])
-        flat = nc.reshape(x, (int(np.prod(lead)), x.shape[-1]))
-        out = flat @ self.weight + self.bias
-        return nc.reshape(out, lead + (self.weight.shape[1],))
+        return nc.linear(x, self.weight, self.bias)
 
 
 def init_linear(rng, d_in, d_out, std=0.02) -> LinearParams:
@@ -108,11 +102,9 @@ def modal_mixup(hx: Tensor, hz: Tensor, t: Tensor, gate: LinearParams):
     A zero gate output leaves both streams bit-exactly unchanged.
     """
     g = gate(t)
-    # one (B, 1, D) view per stream, so a train step keeps its 483 tape nodes
-    gx = nc.reshape(g, (g.shape[0], 1, g.shape[-1]))
-    gz = nc.reshape(g, (g.shape[0], 1, g.shape[-1]))
-    fx = hx * gx + hx
-    fz = hz * gz + hz
+    g = nc.reshape(g, (g.shape[0], 1, g.shape[-1]))
+    fx = hx * g + hx
+    fz = hz * g + hz
     return fx, fz
 
 

@@ -6,9 +6,14 @@ operations record onto the active :class:`Tape`; ``Tape.backward`` replays the
 records in reverse execution order, which is a valid reverse topological order
 because every operand exists before the operation that consumes it.
 
-Reductions (sum, mean, normalization statistics, softmax denominators)
-accumulate in 64-bit regardless of the storage dtype. Matrix products use the
-BLAS kernel for the storage dtype.
+Elementwise math runs in the storage dtype: float32 operands give float32
+outputs and float32 gradients, with no silent promotion to float64. The
+reductions ``tensor_sum`` and ``mean``, layernorm's statistics (mean and
+variance forward; the two row means and the gain and bias sums backward), the
+softmax denominator and the softmax backward's row dot accumulate in 64-bit
+and are cast back to the storage dtype before they broadcast. The sums that
+undo broadcasting in a backward, linear's bias gradient among them, run in the
+storage dtype, and matrix products use the BLAS kernel for the storage dtype.
 """
 
 from __future__ import annotations
@@ -171,18 +176,33 @@ class Tape:
         scratch = {id(loss): np.ones_like(loss.data)}
         if id(loss) not in self._produced:
             return
+        # Backward closures may hand out aliases of their incoming gradient
+        # (add returns it to both operands, reshape a view of it), so a
+        # scratch entry is summed into in place only once the tape allocated
+        # it itself, by the entry's first accumulation.
+        owned = set()
         for node in reversed(self._nodes):
             out_grad = scratch.pop(id(node.out), None)
             if out_grad is None:
                 continue
+            owned.discard(id(node.out))
             for parent, grad in zip(node.parents, node.backward(out_grad)):
                 if grad is None or not parent.requires_grad:
                     continue
-                if id(parent) in self._produced:
-                    held = scratch.get(id(parent))
-                    scratch[id(parent)] = grad if held is None else held + grad
+                key = id(parent)
+                if key in self._produced:
+                    held = scratch.get(key)
+                    if held is None:
+                        scratch[key] = grad
+                    elif key in owned:
+                        held += grad
+                    else:
+                        scratch[key] = held + grad
+                        owned.add(key)
+                elif parent.grad is None:
+                    parent.grad = grad.copy()
                 else:
-                    parent.grad = grad.copy() if parent.grad is None else parent.grad + grad
+                    parent.grad += grad
 
 
 def _record(out, parents, backward):
@@ -205,16 +225,15 @@ def _unbroadcast(grad, shape):
     return grad.astype(grad.dtype, copy=False)
 
 
-def _pair(a, b):
-    a = as_tensor(a)
-    b = as_tensor(b)
-    if a.dtype != b.dtype:
-        # Promote to the wider dtype so float64 checking paths stay float64.
-        if a.dtype == np.float32:
-            a = a.astype(np.float64)
-        else:
-            b = b.astype(np.float64)
-    return a, b
+def _promote(*operands):
+    """Operands as tensors of one dtype: float64 if any of them is.
+
+    Promoting to the wider dtype keeps float64 checking paths float64.
+    """
+    tensors = [as_tensor(t) for t in operands]
+    if any(t.dtype == np.float64 for t in tensors):
+        tensors = [t if t.dtype == np.float64 else t.astype(np.float64) for t in tensors]
+    return tensors
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +242,7 @@ def _pair(a, b):
 
 
 def add(a, b):
-    a, b = _pair(a, b)
+    a, b = _promote(a, b)
     out = _result(a.data + b.data, a.requires_grad or b.requires_grad)
 
     def backward(g):
@@ -233,7 +252,7 @@ def add(a, b):
 
 
 def sub(a, b):
-    a, b = _pair(a, b)
+    a, b = _promote(a, b)
     out = _result(a.data - b.data, a.requires_grad or b.requires_grad)
 
     def backward(g):
@@ -243,7 +262,7 @@ def sub(a, b):
 
 
 def mul(a, b):
-    a, b = _pair(a, b)
+    a, b = _promote(a, b)
     out = _result(a.data * b.data, a.requires_grad or b.requires_grad)
 
     def backward(g):
@@ -255,7 +274,7 @@ def mul(a, b):
 
 
 def div(a, b):
-    a, b = _pair(a, b)
+    a, b = _promote(a, b)
     out = _result(a.data / b.data, a.requires_grad or b.requires_grad)
 
     def backward(g):
@@ -290,7 +309,7 @@ def power(a, exponent):
 
 def maximum(a, b):
     """Elementwise maximum; on ties the gradient flows to ``a``."""
-    a, b = _pair(a, b)
+    a, b = _promote(a, b)
     out = _result(np.maximum(a.data, b.data), a.requires_grad or b.requires_grad)
 
     def backward(g):
@@ -304,7 +323,7 @@ def maximum(a, b):
 
 def minimum(a, b):
     """Elementwise minimum; on ties the gradient flows to ``a``."""
-    a, b = _pair(a, b)
+    a, b = _promote(a, b)
     out = _result(np.minimum(a.data, b.data), a.requires_grad or b.requires_grad)
 
     def backward(g):
@@ -387,17 +406,39 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 
 
 def gelu(a):
-    """Gaussian error linear unit, tanh form."""
+    """Gaussian error linear unit, tanh form.
+
+    The derivative is computed in forward, and only while a tape records this
+    op, so untaped calls (evaluation, tracking, finite-difference probes) pay
+    for the forward alone.
+    """
     a = as_tensor(a)
     x = a.data
     x2 = x * x
-    t = np.tanh(_GELU_C * (x + 0.044715 * (x2 * x)))
-    out = _result(0.5 * x * (1.0 + t), a.requires_grad)
+    t = x2 * x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    half_x = 0.5 * x
+    out = _result(half_x * (1.0 + t), a.requires_grad)
+    if Tape.current is None or not a.requires_grad:
+        return out
+    # d/dx = 0.5 (1 + t) + 0.5 x (1 - t^2) sqrt(2/pi) (1 + 3 * 0.044715 x^2)
+    dinner = x2
+    dinner *= 0.134145
+    dinner += 1.0
+    dinner *= _GELU_C
+    deriv = t * t
+    np.subtract(1.0, deriv, out=deriv)
+    deriv *= dinner
+    deriv *= half_x
+    t += 1.0
+    t *= 0.5
+    deriv += t
 
     def backward(g):
-        dinner = _GELU_C * (1.0 + 0.134145 * x2)
-        grad = 0.5 * (1.0 + t) + (0.5 * x) * ((1.0 - t * t) * dinner)
-        return (g * grad,)
+        return (g * deriv,)
 
     return _record(out, (a,), backward)
 
@@ -547,7 +588,7 @@ def take_rows(table, ids):
 
 
 def matmul(a, b):
-    a, b = _pair(a, b)
+    a, b = _promote(a, b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeMismatchError(f"matmul requires 2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -565,18 +606,45 @@ def matmul(a, b):
     return _record(out, (a, b), backward)
 
 
+def linear(x, w, b):
+    """Affine map ``x @ w + b`` over the last axis of ``x``, as one tape node.
+
+    ``x`` is (..., in), ``w`` (in, out) and ``b`` (out,). Any number of
+    leading axes are flattened into a single matrix product.
+    """
+    x, w, b = _promote(x, w, b)
+    if w.ndim != 2 or b.shape != (w.shape[1],) or x.ndim < 1 or x.shape[-1] != w.shape[0]:
+        raise ShapeMismatchError(f"linear expects (..., in), (in, out), (out,), got {x.shape}, {w.shape}, {b.shape}")
+    d_in, d_out = w.shape
+    x2 = x.data.reshape(-1, d_in)
+    out2 = x2 @ w.data
+    out2 += b.data
+    out = _result(out2.reshape(x.shape[:-1] + (d_out,)), x.requires_grad or w.requires_grad or b.requires_grad)
+
+    def backward(g):
+        g2 = g.reshape(-1, d_out)
+        gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        gw = x2.T @ g2 if w.requires_grad else None
+        gb = g2.sum(axis=0) if b.requires_grad else None
+        return gx, gw, gb
+
+    return _record(out, (x, w, b), backward)
+
+
 def softmax(a, axis=-1):
     """Stable softmax along ``axis``; outputs are positive and sum to one."""
     a = as_tensor(a)
-    shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    denom = np.sum(e, axis=axis, keepdims=True, dtype=np.float64)
-    out = _result((e / denom).astype(a.dtype, copy=False), a.requires_grad)
+    e = a.data - np.max(a.data, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=axis, keepdims=True, dtype=np.float64).astype(a.dtype)
+    out = _result(e, a.requires_grad)
 
     def backward(g):
         y = out.data
-        dot = np.sum(y * g, axis=axis, keepdims=True, dtype=np.float64)
-        return ((y * (g - dot)).astype(a.dtype, copy=False),)
+        dot = np.sum(y * g, axis=axis, keepdims=True, dtype=np.float64).astype(g.dtype)
+        grad = g - dot
+        grad *= y
+        return (grad,)
 
     return _record(out, (a,), backward)
 
@@ -588,26 +656,30 @@ def layernorm(x, gain, bias, eps=1e-5):
     bias = as_tensor(bias, dtype=x.dtype)
     if eps <= 0:
         raise ConfigurationError(f"layernorm eps must be positive, got {eps}")
-    d = x.shape[-1]
-    mu = np.mean(x.data, axis=-1, keepdims=True, dtype=np.float64)
-    centered = x.data - mu
-    var = np.mean(centered * centered, axis=-1, keepdims=True, dtype=np.float64)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (centered * inv).astype(x.dtype, copy=False)
-    out = _result(xhat * gain.data + bias.data, x.requires_grad or gain.requires_grad or bias.requires_grad)
+    dt = x.dtype
+    xhat = x.data - np.mean(x.data, axis=-1, keepdims=True, dtype=np.float64).astype(dt)
+    var = np.mean(xhat * xhat, axis=-1, keepdims=True, dtype=np.float64)
+    inv = (1.0 / np.sqrt(var + eps)).astype(dt)
+    xhat *= inv
+    out_data = xhat * gain.data
+    out_data += bias.data
+    out = _result(out_data, x.requires_grad or gain.requires_grad or bias.requires_grad)
 
     def backward(g):
         gx = ggain = gbias = None
         reduce_axes = tuple(range(g.ndim - 1))
         if gain.requires_grad:
-            ggain = np.sum(g * xhat, axis=reduce_axes, dtype=np.float64).astype(x.dtype)
+            ggain = np.sum(g * xhat, axis=reduce_axes, dtype=np.float64).astype(dt)
         if bias.requires_grad:
-            gbias = np.sum(g, axis=reduce_axes, dtype=np.float64).astype(x.dtype)
+            gbias = np.sum(g, axis=reduce_axes, dtype=np.float64).astype(dt)
         if x.requires_grad:
-            gh = g * gain.data
-            m1 = np.mean(gh, axis=-1, keepdims=True, dtype=np.float64)
-            m2 = np.mean(gh * xhat, axis=-1, keepdims=True, dtype=np.float64)
-            gx = (inv * (gh - m1 - xhat * m2)).astype(x.dtype, copy=False)
+            # gx = inv * (gh - mean(gh) - xhat * mean(gh * xhat)), gh = g * gain
+            gx = g * gain.data
+            m1 = np.mean(gx, axis=-1, keepdims=True, dtype=np.float64).astype(dt)
+            m2 = np.mean(gx * xhat, axis=-1, keepdims=True, dtype=np.float64).astype(dt)
+            gx -= m1
+            gx -= xhat * m2
+            gx *= inv
         return gx, ggain, gbias
 
     return _record(out, (x, gain, bias), backward)
@@ -626,11 +698,24 @@ def _conv_geometry(h, w, kh, kw, stride, padding):
     return num_h // stride + 1, num_w // stride + 1
 
 
+def _im2col(xp, kh, kw, stride, ho, wo):
+    """Patch matrix (C*kh*kw, B*ho*wo) of a channel-major (C, B, H, W) array."""
+    c, b = xp.shape[:2]
+    cols = np.empty((c, kh, kw, b, ho, wo), dtype=xp.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+    return cols.reshape(c * kh * kw, b * ho * wo)
+
+
 def conv2d(x, kernels, stride=1, padding=0):
     """2-d cross-correlation (the deep-learning convention).
 
     ``x`` is (B, C_in, H, W); ``kernels`` is (C_out, C_in, kh, kw).
-    Implemented as an im2col matrix product.
+    Forward and kernel gradient are one matrix product each over an im2col
+    patch matrix. The input gradient is the stride-1 correlation of the
+    stride-dilated, zero-padded output gradient with the flipped kernels,
+    in- and out-channels swapped: one more matrix product, no scatter-add.
     """
     x = as_tensor(x)
     kernels = as_tensor(kernels, dtype=x.dtype)
@@ -643,34 +728,27 @@ def conv2d(x, kernels, stride=1, padding=0):
         raise ShapeMismatchError(f"conv2d channel mismatch: input {c} vs kernel {ci}")
     ho, wo = _conv_geometry(h, w, kh, kw, stride, padding)
 
-    if padding:
-        xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=xd.dtype)
-        xp[:, :, padding : padding + h, padding : padding + w] = xd
-    else:
-        xp = xd
-    cols = np.empty((b, c, kh, kw, ho, wo), dtype=xd.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
-    cols2 = cols.reshape(b, c * kh * kw, ho * wo)
+    xp = np.zeros((c, b, h + 2 * padding, w + 2 * padding), dtype=xd.dtype)
+    xp[:, :, padding : padding + h, padding : padding + w] = xd.transpose(1, 0, 2, 3)
+    cols = _im2col(xp, kh, kw, stride, ho, wo)
     kmat = kernels.data.reshape(co, c * kh * kw)
-    out_data = (kmat @ cols2).reshape(b, co, ho, wo)
+    out_data = np.ascontiguousarray((kmat @ cols).reshape(co, b, ho, wo).transpose(1, 0, 2, 3))
     out = _result(out_data, x.requires_grad or kernels.requires_grad)
 
     def backward(g):
-        g4 = g.reshape(b, co, ho * wo)
         gx = gk = None
+        gt = g.transpose(1, 0, 2, 3)  # (Co, B, Ho, Wo)
         if kernels.requires_grad:
-            gk = np.matmul(g4, cols2.transpose(0, 2, 1)).sum(axis=0).reshape(kernels.shape)
-            gk = gk.astype(xd.dtype, copy=False)
+            gk = (gt.reshape(co, b * ho * wo) @ cols.T).reshape(kernels.shape)
         if x.requires_grad:
-            gcols = np.matmul(kmat.T, g4).reshape(b, c, kh, kw, ho, wo)
-            gxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[:, :, i, j]
-            gx = gxp[:, :, padding : padding + h, padding : padding + w] if padding else gxp
-            gx = np.ascontiguousarray(gx)
+            # gd holds g[r] at row kh-1 + r*stride (likewise for columns), so
+            # padded-input row u receives sum_e gd[u + e] * kflip[e]; the
+            # unpadded input starts at padded row ``padding``.
+            gd = np.zeros((co, b, h + 2 * padding + kh - 1, w + 2 * padding + kw - 1), dtype=g.dtype)
+            gd[:, :, kh - 1 : kh - 1 + stride * ho : stride, kw - 1 : kw - 1 + stride * wo : stride] = gt
+            gcols = _im2col(gd[:, :, padding:, padding:], kh, kw, 1, h, w)
+            kflip = kernels.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, co * kh * kw)
+            gx = np.ascontiguousarray((kflip @ gcols).reshape(c, b, h, w).transpose(1, 0, 2, 3))
         return gx, gk
 
     return _record(out, (x, kernels), backward)

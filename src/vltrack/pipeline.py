@@ -185,6 +185,10 @@ class AdamW:
         self.step_count = 0
         self.m = {name: np.zeros_like(t.data) for name, t in params.items()}
         self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
+        # Two scratch buffers per parameter dtype, each as large as the
+        # largest parameter; step() writes every temporary into views of them.
+        size = max((t.size for t in params.values()), default=0)
+        self._scratch = {t.dtype: (np.empty(size, t.dtype), np.empty(size, t.dtype)) for t in params.values()}
 
     def zero_grad(self):
         for t in self.params.values():
@@ -202,12 +206,21 @@ class AdamW:
                 continue
             m = self.m[name]
             v = self.v[name]
+            a, b = (buf[: t.size].reshape(t.shape) for buf in self._scratch[t.dtype])
+            # The same operations in the same order as
+            #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
+            #   p -= lr * (m/bc1) / (sqrt(v/bc2) + eps) + lr*wd * p
+            # with every temporary written into a or b.
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(1.0 - self.beta1, g, out=a)
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            t.data -= lr * update + lr * self.weight_decay * t.data
+            v += np.multiply(1.0 - self.beta2, np.multiply(g, g, out=b), out=b)
+            denom = np.sqrt(np.divide(v, bc2, out=a), out=a)
+            denom += self.eps
+            update = np.divide(np.divide(m, bc1, out=b), denom, out=b)
+            update *= lr
+            update += np.multiply(lr * self.weight_decay, t.data, out=a)
+            t.data -= update
 
     def state_dict(self):
         return {

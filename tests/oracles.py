@@ -1,12 +1,18 @@
 """Independent brute-force oracles shared by the test modules.
 
 Everything here is scalar-loop float64 numpy, deliberately ignorant of the
-library's vectorized implementations.
+library's vectorized implementations, except the unfused references at the
+end of the file: tape-recorded versions of numcore's linear, softmax,
+layernorm and conv2d as they were before those ops were fused, kept so the
+fused ops' outputs and gradients can be compared with them.
 """
 
 import math
 
 import numpy as np
+
+from vltrack import numcore as nc
+from vltrack.numcore.tensor import _conv_geometry, _record, _result, as_tensor
 
 COS_EPS = 1e-8
 
@@ -103,3 +109,82 @@ def iou_oracle(a, b):
 
 def center_error_oracle(a, b):
     return math.hypot(a[0] - b[0], a[1] - b[1])
+
+
+# ---------------------------------------------------------------------------
+# Unfused references of the fused numcore ops
+# ---------------------------------------------------------------------------
+
+
+def linear_reference(x, w, b):
+    """reshape -> matmul -> add -> reshape: four tape nodes."""
+    lead = tuple(x.shape[:-1])
+    flat = nc.reshape(x, (int(np.prod(lead)), x.shape[-1]))
+    return nc.reshape(flat @ w + b, lead + (w.shape[1],))
+
+
+def softmax_reference(a, axis=-1):
+    """Softmax that divides and takes the backward row dot in float64."""
+    a = as_tensor(a)
+    e = np.exp(a.data - np.max(a.data, axis=axis, keepdims=True))
+    denom = np.sum(e, axis=axis, keepdims=True, dtype=np.float64)
+    out = _result((e / denom).astype(a.dtype, copy=False), a.requires_grad)
+
+    def backward(g):
+        y = out.data
+        dot = np.sum(y * g, axis=axis, keepdims=True, dtype=np.float64)
+        return ((y * (g - dot)).astype(a.dtype, copy=False),)
+
+    return _record(out, (a,), backward)
+
+
+def layernorm_reference(x, gain, bias, eps=1e-5):
+    """Layernorm that centres, normalises and back-propagates in float64."""
+    x = as_tensor(x)
+    mu = np.mean(x.data, axis=-1, keepdims=True, dtype=np.float64)
+    centered = x.data - mu
+    var = np.mean(centered * centered, axis=-1, keepdims=True, dtype=np.float64)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (centered * inv).astype(x.dtype, copy=False)
+    out = _result(xhat * gain.data + bias.data, x.requires_grad or gain.requires_grad or bias.requires_grad)
+
+    def backward(g):
+        reduce_axes = tuple(range(g.ndim - 1))
+        ggain = np.sum(g * xhat, axis=reduce_axes, dtype=np.float64).astype(x.dtype)
+        gbias = np.sum(g, axis=reduce_axes, dtype=np.float64).astype(x.dtype)
+        gh = g * gain.data
+        m1 = np.mean(gh, axis=-1, keepdims=True, dtype=np.float64)
+        m2 = np.mean(gh * xhat, axis=-1, keepdims=True, dtype=np.float64)
+        gx = (inv * (gh - m1 - xhat * m2)).astype(x.dtype, copy=False)
+        return gx, ggain, gbias
+
+    return _record(out, (x, gain, bias), backward)
+
+
+def conv2d_reference(x, kernels, stride=1, padding=0):
+    """Per-image im2col conv2d whose input gradient scatter-adds (col2im)."""
+    xd = x.data
+    b, c, h, w = xd.shape
+    co, _, kh, kw = kernels.shape
+    ho, wo = _conv_geometry(h, w, kh, kw, stride, padding)
+    xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=xd.dtype)
+    xp[:, :, padding : padding + h, padding : padding + w] = xd
+    cols = np.empty((b, c, kh, kw, ho, wo), dtype=xd.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+    cols2 = cols.reshape(b, c * kh * kw, ho * wo)
+    kmat = kernels.data.reshape(co, c * kh * kw)
+    out = _result((kmat @ cols2).reshape(b, co, ho, wo), x.requires_grad or kernels.requires_grad)
+
+    def backward(g):
+        g4 = g.reshape(b, co, ho * wo)
+        gk = np.matmul(g4, cols2.transpose(0, 2, 1)).sum(axis=0).reshape(kernels.shape)
+        gcols = np.matmul(kmat.T, g4).reshape(b, c, kh, kw, ho, wo)
+        gxp = np.zeros_like(xp)
+        for i in range(kh):
+            for j in range(kw):
+                gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[:, :, i, j]
+        return np.ascontiguousarray(gxp[:, :, padding : padding + h, padding : padding + w]), gk
+
+    return _record(out, (x, kernels), backward)

@@ -9,42 +9,14 @@ from vltrack import numcore as nc
 from vltrack.errors import ConfigurationError, ContractError, ShapeMismatchError
 from vltrack.numcore import Tape, Tensor
 
-
-def matmul_oracle(a, b):
-    """Triple-loop scalar matrix product in float64."""
-    m, k = a.shape
-    k2, n = b.shape
-    assert k == k2
-    out = np.zeros((m, n), dtype=np.float64)
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for t in range(k):
-                acc += float(a[i, t]) * float(b[t, j])
-            out[i, j] = acc
-    return out
-
-
-def conv2d_oracle(x, k, stride, padding):
-    """Quadruple-loop scalar cross-correlation in float64."""
-    c, h, w = x.shape
-    co, ci, kh, kw = k.shape
-    assert ci == c
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (w + 2 * padding - kw) // stride + 1
-    xp = np.zeros((c, h + 2 * padding, w + 2 * padding), dtype=np.float64)
-    xp[:, padding : padding + h, padding : padding + w] = x
-    out = np.zeros((co, ho, wo), dtype=np.float64)
-    for o in range(co):
-        for i in range(ho):
-            for j in range(wo):
-                acc = 0.0
-                for ci_ in range(c):
-                    for di in range(kh):
-                        for dj in range(kw):
-                            acc += float(xp[ci_, i * stride + di, j * stride + dj]) * float(k[o, ci_, di, dj])
-                out[o, i, j] = acc
-    return out
+from oracles import (
+    conv2d_oracle,
+    conv2d_reference,
+    layernorm_reference,
+    linear_reference,
+    matmul_oracle,
+    softmax_reference,
+)
 
 
 class TestMatmul:
@@ -271,10 +243,92 @@ class TestBackwardMatchesFiniteDifferences:
             lambda x, k: nc.tensor_sum(nc.conv2d(x, k, stride=1, padding=1) ** 2.0),
             [self.rand(1, 2, 5, 5), self.rand(3, 2, 3, 3)],
         )
+        _check(
+            lambda x, k: nc.tensor_sum(nc.conv2d(x, k, stride=2, padding=1) ** 2.0),
+            [self.rand(2, 2, 7, 7), self.rand(3, 2, 3, 3)],
+        )
+
+    def test_linear(self):
+        _check(
+            lambda x, w, b: nc.tensor_sum(nc.linear(x, w, b) ** 2.0),
+            [self.rand(2, 3, 4), self.rand(4, 5), self.rand(5)],
+        )
 
     def test_reused_operand(self):
         # x appears twice in the graph; gradients must accumulate.
         _check(lambda x: nc.tensor_sum(x * x + x), [self.rand(4)])
+
+
+# (name, fused op, unfused reference, operand shapes)
+FUSED_CASES = [
+    ("linear-3d", nc.linear, linear_reference, [(2, 5, 6), (6, 4), (4,)]),
+    ("linear-2d", nc.linear, linear_reference, [(7, 6), (6, 3), (3,)]),
+    ("softmax", nc.softmax, softmax_reference, [(3, 4, 9)]),
+    ("layernorm", nc.layernorm, layernorm_reference, [(3, 5, 8), (8,), (8,)]),
+] + [
+    (
+        f"conv2d-s{stride}-p{padding}",
+        lambda x, k, s=stride, p=padding: nc.conv2d(x, k, stride=s, padding=p),
+        lambda x, k, s=stride, p=padding: conv2d_reference(x, k, stride=s, padding=p),
+        [(2, 3, 7, 7), (4, 3, 3, 3)],
+    )
+    for stride, padding in [(1, 0), (1, 1), (2, 1)]
+]
+
+
+def _forward_and_grads(op, shapes, dtype, seed):
+    """Output and every operand's gradient of sum(op(*operands) * weights)."""
+    rng = np.random.default_rng(seed)
+    operands = [Tensor(rng.uniform(-1, 1, shape), requires_grad=True, dtype=dtype) for shape in shapes]
+    with Tape() as tape:
+        out = op(*operands)
+        weights = Tensor(rng.uniform(-1, 1, out.shape), dtype=dtype)
+        tape.backward(nc.tensor_sum(out * weights))
+    return out, [t.grad for t in operands]
+
+
+class TestFusedOpsMatchUnfusedReferences:
+    """Fused numcore ops agree with the unfused references in tests/oracles.py."""
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)], ids=["float32", "float64"])
+    @pytest.mark.parametrize("name,op,reference,shapes", FUSED_CASES, ids=[c[0] for c in FUSED_CASES])
+    def test_output_and_gradients(self, name, op, reference, shapes, dtype, tol):
+        out, grads = _forward_and_grads(op, shapes, dtype, seed=21)
+        ref_out, ref_grads = _forward_and_grads(reference, shapes, dtype, seed=21)
+        np.testing.assert_allclose(out.data, ref_out.data, rtol=tol, atol=tol)
+        for got, want in zip(grads, ref_grads):
+            np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+
+    def test_linear_is_one_tape_node(self):
+        x = Tensor(np.ones((2, 3, 4)), requires_grad=True)
+        with Tape() as tape:
+            nc.linear(x, Tensor(np.ones((4, 5))), Tensor(np.zeros(5)))
+        assert len(tape) == 1
+
+    def test_linear_shape_error(self):
+        with pytest.raises(ShapeMismatchError):
+            nc.linear(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 5))), Tensor(np.zeros(5)))
+
+
+class TestFloat32Discipline:
+    """float32 operands give float32 outputs and gradients; float64 stays float64."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize(
+        "op,shapes",
+        [
+            (nc.layernorm, [(3, 4, 8), (8,), (8,)]),
+            (nc.softmax, [(3, 4, 8)]),
+            (nc.gelu, [(3, 4, 8)]),
+            (nc.linear, [(3, 4, 8), (8, 5), (5,)]),
+            (lambda x, k: nc.conv2d(x, k, stride=2, padding=1), [(2, 3, 7, 7), (4, 3, 3, 3)]),
+        ],
+        ids=["layernorm", "softmax", "gelu", "linear", "conv2d"],
+    )
+    def test_no_silent_promotion(self, op, shapes, dtype):
+        out, grads = _forward_and_grads(op, shapes, dtype, seed=4)
+        assert out.dtype == dtype
+        assert all(g is not None and g.dtype == dtype for g in grads)
 
 
 class TestTapeAndTensor:
@@ -302,6 +356,54 @@ class TestTapeAndTensor:
             y = x * 3.0
         with pytest.raises(ContractError):
             tape.backward(y)
+
+    def test_in_place_accumulation_never_writes_an_alias(self):
+        # c = a + b hands one gradient array to both a and b (and the reshape
+        # below hands c a view); each of a and b then receives further
+        # gradients, which must not be summed into that shared array.
+        def f(x, y):
+            a = x * y
+            b = x - y
+            f1 = a * a
+            f2 = nc.exp(b)
+            e = a * b
+            r = nc.reshape(a + b, (12,))
+            return nc.tensor_sum(r * r) + nc.tensor_sum(e) + nc.tensor_sum(f1) + nc.tensor_sum(f2)
+
+        rng = np.random.default_rng(17)
+        x, y = (Tensor(rng.uniform(-1, 1, (3, 4)), dtype=np.float64) for _ in range(2))
+        report = nc.grad_check(f, [x, y], tol=1e-6, max_coords_per_input=12)
+        assert report.passed, str(report)
+
+        x, y = (Tensor(t.data, requires_grad=True, dtype=np.float64) for t in (x, y))
+        with Tape() as tape:
+            loss = f(x, y)
+        saved = []  # (array, copy) of everything a forward kept or a backward returned
+
+        def keep(arr):
+            if isinstance(arr, np.ndarray):
+                saved.append((arr, arr.copy()))
+
+        def watched(backward):
+            def run(g):
+                grads = backward(g)
+                for grad in grads:
+                    keep(grad)
+                return grads
+
+            return run
+
+        for node in tape._nodes:
+            keep(node.out.data)
+            for parent in node.parents:
+                keep(parent.data)
+            for cell in node.backward.__closure__ or ():
+                keep(cell.cell_contents)
+            node.backward = watched(node.backward)
+        tape.backward(loss)
+        assert len(saved) > 40
+        for arr, copy in saved:
+            np.testing.assert_array_equal(arr, copy)
 
     def test_grad_not_tracked_for_constants(self):
         x = Tensor([1.0, 2.0])

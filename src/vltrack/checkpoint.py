@@ -55,6 +55,7 @@ RETIRED_KEYS = {
     "mean_includes_cls": "true",
     "mixup_shared_linear": "true",
     "norm_placement": "post",
+    "text_embed_std": "1.0",
     "token_reduce": "mean",
 }
 

@@ -30,11 +30,6 @@ class Config:
     align_dim: int = 64
     head_channels: str = "64,32,16"
 
-    # language handling
-    # word-embedding init scale; sized so the reduced language vector and the
-    # mixup gate carry O(1) signal into the vision streams from step one
-    text_embed_std: float = 1.0
-
     # losses
     tau: float = 0.5
     denominator_mode: str = "standard"  # "standard" | "literal"

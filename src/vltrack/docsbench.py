@@ -1,17 +1,20 @@
 """Reproduction recipes and verification harnesses.
 
 Each recipe in the recipes/ directory is a JSON file naming a sequence of
-commands plus a named outcome check, so every acceptance-level claim maps to
-one runnable unit. ``python -m vltrack.docsbench <name>`` runs one recipe;
-``--all`` runs everything and can emit a JUnit-style XML report.
+in-process commands (``vltrack`` subcommands and ``twin-eval``) and a list
+of ``checks`` on their outcome. A check that names a ``criterion`` gates
+that acceptance criterion; each experiment-level criterion (1, 6, 7, 8) is
+defined by exactly one recipe, which the acceptance suite runs.
+``python -m vltrack.docsbench <name>`` runs one recipe; ``--all`` runs
+everything and can emit a JUnit-style XML report.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import shlex
-import subprocess
 import sys
 import tempfile
 import time
@@ -22,7 +25,7 @@ import numpy as np
 
 from .config import Config
 from .errors import VLTrackError
-from .numcore import Tensor, grad_check, named_stream
+from .numcore import grad_check, named_stream
 
 RECIPES_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))), "recipes")
 
@@ -132,9 +135,19 @@ class ExperimentRecipe:
     description: str
     expected: str
     commands: list
-    check: dict = field(default_factory=dict)
+    checks: list = field(default_factory=list)
     runtime_hint: str = "seconds"
-    criteria: list = field(default_factory=list)
+
+    @property
+    def criteria(self) -> list:
+        """The acceptance criteria this recipe gates, read from its checks."""
+        return sorted({check["criterion"] for check in self.checks if "criterion" in check})
+
+
+@dataclass
+class Outcome:
+    passed: bool
+    detail: str
 
 
 @dataclass
@@ -143,6 +156,8 @@ class RecipeResult:
     passed: bool
     detail: str
     seconds: float
+    command_seconds: list = field(default_factory=list)
+    criteria: dict = field(default_factory=dict)  # criterion -> Outcome of its checks
 
 
 def load_recipes(recipes_dir=None) -> dict:
@@ -191,69 +206,49 @@ def twin_eval_command(argv) -> int:
     return 0
 
 
-def _repo_root():
-    return os.path.dirname(RECIPES_DIR)
-
-
-def _run_command(command: str, workdir: str) -> int:
-    """Run one recipe command; vltrack subcommands run in-process."""
+def _parse_command(command: str, workdir: str):
+    """The in-process entry point and argv of one recipe command."""
     argv = [a.replace("{work}", workdir) for a in shlex.split(command)]
     if argv[0] == "vltrack":
         from .cli import main as cli_main
 
-        return cli_main(argv[1:])
+        return cli_main, argv[1:]
     if argv[0] == "twin-eval":
-        return twin_eval_command(argv[1:])
-    if argv[0] == "pytest":
-        return subprocess.call([sys.executable, "-m", "pytest", *argv[1:]], cwd=_repo_root())
-    return subprocess.call(argv)
+        return twin_eval_command, argv[1:]
+    raise VLTrackError(f"recipe command runs unknown program {argv[0]!r}; recipes run only vltrack and twin-eval")
 
 
-def _json_path(workdir, rel):
-    with open(os.path.join(workdir, rel), encoding="utf-8") as fh:
-        return json.load(fh)
+def _json_value(workdir, check):
+    with open(os.path.join(workdir, check["file"]), encoding="utf-8") as fh:
+        value = json.load(fh)
+    for key in check["path"]:
+        value = value[key]
+    return value
 
 
-def _check_outcome(check: dict, workdir: str) -> tuple[bool, str]:
-    kind = check.get("kind", "exit-zero")
-    if kind == "exit-zero":
-        return True, "commands exited 0"
-    if kind == "json-min":
-        payload = _json_path(workdir, check["file"])
-        value = payload
-        for key in check["path"]:
-            value = value[key]
-        ok = value >= check["min"]
-        return ok, f"{'.'.join(check['path'])} = {value:.4f} (need >= {check['min']})"
+def _bounded(label: str, value: float, check: dict) -> tuple[bool, str]:
+    """Hold value to the check's optional inclusive ``min`` and strict ``max``;
+    with neither, the value is only reported."""
+    need = [f"{op} {check[key]}" for key, op in (("min", ">="), ("max", "<")) if key in check]
+    ok = check.get("min", -math.inf) <= value < check.get("max", math.inf)
+    return ok, f"{label} = {value:.4g} ({'need ' + ', '.join(need) if need else 'reported'})"
+
+
+def _check_outcome(check: dict, workdir: str, commands: list, command_seconds: list) -> tuple[bool, str]:
+    kind = check["kind"]
+    if kind == "json-number":
+        return _bounded(".".join(check["path"]), _json_value(workdir, check), check)
     if kind == "json-flag":
-        payload = _json_path(workdir, check["file"])
-        value = payload
-        for key in check["path"]:
-            value = value[key]
+        value = _json_value(workdir, check)
         return bool(value), f"{'.'.join(check['path'])} = {value}"
-    if kind == "twin-rates":
-        payload = _json_path(workdir, check["file"])
-        correct = payload["vl"]["correct_rate"]
-        flip = payload["vl"]["flip_rate"]
-        ok = correct >= check["min_correct"] and flip >= check["min_flip"]
-        ablation = payload.get("ablation", {})
-        detail = (
-            f"correct {correct:.3f} (need >= {check['min_correct']}), "
-            f"flip {flip:.3f} (need >= {check['min_flip']}); "
-            f"ablation correct {ablation.get('correct_rate', float('nan')):.3f} "
-            f"flip {ablation.get('flip_rate', float('nan')):.3f}"
-        )
-        return ok, detail
+    if kind == "wall-time":
+        index = check["command"]
+        program = " ".join(shlex.split(commands[index])[:2])
+        return _bounded(f"commands[{index}] ({program}) seconds", command_seconds[index], check)
     if kind == "identical":
-        details = []
-        all_same = True
-        for a_rel, b_rel in check["pairs"]:
-            a = os.path.join(workdir, a_rel)
-            b = os.path.join(workdir, b_rel)
-            same = _same_bytes(a, b)
-            all_same &= same
-            details.append(f"{a_rel} vs {b_rel}: {'identical' if same else 'DIFFER'}")
-        return all_same, "; ".join(details)
+        same = [_same_bytes(os.path.join(workdir, a), os.path.join(workdir, b)) for a, b in check["pairs"]]
+        details = [f"{a} vs {b}: {'identical' if ok else 'DIFFER'}" for (a, b), ok in zip(check["pairs"], same)]
+        return all(same), "; ".join(details)
     raise VLTrackError(f"unknown recipe check kind {kind!r}")
 
 
@@ -261,37 +256,58 @@ def _same_bytes(a, b) -> bool:
     """Byte-compare two files, or two directory trees file by file."""
     import filecmp
 
+    def files(root):
+        return sorted(os.path.relpath(os.path.join(r, f), root) for r, _, fs in os.walk(root) for f in fs)
+
     if os.path.isdir(a) and os.path.isdir(b):
-        a_files = sorted(
-            os.path.relpath(os.path.join(r, f), a) for r, _, fs in os.walk(a) for f in fs
-        )
-        b_files = sorted(
-            os.path.relpath(os.path.join(r, f), b) for r, _, fs in os.walk(b) for f in fs
-        )
-        if a_files != b_files:
-            return False
-        return all(filecmp.cmp(os.path.join(a, f), os.path.join(b, f), shallow=False) for f in a_files)
+        names = files(a)
+        same = (filecmp.cmp(os.path.join(a, f), os.path.join(b, f), shallow=False) for f in names)
+        return names == files(b) and all(same)
     return os.path.isfile(a) and os.path.isfile(b) and filecmp.cmp(a, b, shallow=False)
 
 
 def run_recipe(name: str, workdir=None, recipes_dir=None, quiet=False) -> RecipeResult:
-    """Execute one recipe's commands and evaluate its outcome check."""
+    """Execute one recipe's commands, timing each, and evaluate its checks.
+
+    The result holds every check's outcome, and per gated criterion the
+    outcome of that criterion's checks. A recipe with no checks passes when
+    its commands exit 0.
+    """
     recipes = load_recipes(recipes_dir)
     if name not in recipes:
         raise VLTrackError(f"no recipe named {name!r}; available: {', '.join(sorted(recipes))}")
     recipe = recipes[name]
     workdir = workdir or tempfile.mkdtemp(prefix=f"recipe-{name}-")
     os.makedirs(workdir, exist_ok=True)
+    steps = [_parse_command(command, workdir) for command in recipe.commands]
     started = time.perf_counter()
-    for command in recipe.commands:
+    command_seconds = []
+    for command, (program, argv) in zip(recipe.commands, steps):
         if not quiet:
-            print(f"[{name}] $ {command.replace('{work}', workdir)}")
-        code = _run_command(command, workdir)
+            print(f"[{name}] $ {command.replace('{work}', workdir)}", flush=True)
+        command_started = time.perf_counter()
+        code = program(argv)
+        command_seconds.append(time.perf_counter() - command_started)
+        if not quiet:
+            print(f"[{name}] {command_seconds[-1]:.1f}s", flush=True)
         if code != 0:
-            missing = f"command failed with exit {code}: {command}"
-            return RecipeResult(name, False, f"{missing}; run `vltrack generate` first if inputs are missing", time.perf_counter() - started)
-    passed, detail = _check_outcome(recipe.check, workdir)
-    return RecipeResult(name, passed, detail, time.perf_counter() - started)
+            detail = f"command failed with exit {code}: {command}; run `vltrack generate` first if inputs are missing"
+            failed = {criterion: Outcome(False, detail) for criterion in recipe.criteria}
+            return RecipeResult(name, False, detail, time.perf_counter() - started, command_seconds, failed)
+    checked = [
+        (check.get("criterion"), *_check_outcome(check, workdir, recipe.commands, command_seconds))
+        for check in recipe.checks
+    ]
+    criteria = {
+        criterion: Outcome(
+            all(ok for c, ok, _ in checked if c == criterion),
+            "; ".join(detail for c, _, detail in checked if c == criterion),
+        )
+        for criterion in recipe.criteria
+    }
+    passed = all(ok for _, ok, _ in checked)
+    detail = "; ".join(detail for _, _, detail in checked) or "commands exited 0"
+    return RecipeResult(name, passed, detail, time.perf_counter() - started, command_seconds, criteria)
 
 
 def write_junit(results, path):

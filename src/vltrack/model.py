@@ -19,6 +19,10 @@ from .errors import CheckpointError, VocabularyError
 from .head import HeadOutput, HeadParams, head_forward, init_head
 from .numcore import Tensor, named_stream, truncated_normal
 
+# word-embedding init scale; sized so the reduced language vector and the
+# mixup gate carry O(1) signal into the vision streams from step one
+TEXT_EMBED_STD = 1.0
+
 
 @dataclass
 class ForwardResult:
@@ -48,7 +52,7 @@ class TrackerModel:
             rng.normal(0.0, 0.02, size=(pc.n_template, cfg.dim)).astype(np.float32), requires_grad=True
         )
         self.text_table = Tensor(
-            truncated_normal(rng, (vocab.size, cfg.dim), std=cfg.text_embed_std), requires_grad=True
+            truncated_normal(rng, (vocab.size, cfg.dim), std=TEXT_EMBED_STD), requires_grad=True
         )
 
         self.backbone: BackboneParams = init_backbone(self.backbone_cfg, cfg.seed)

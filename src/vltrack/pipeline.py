@@ -259,8 +259,6 @@ def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
 
 def train_step(model: TrackerModel, batch: SampleBatch, opt: AdamW, cfg: Config, lr=None) -> dict:
     """One forward/backward/update; aborts with a diagnostic on non-finite loss."""
-    if len(batch) < 2 and (cfg.lambda_cma > 0 or cfg.lambda_ima > 0) and cfg.ablate == "none":
-        raise ContractError("contrastive losses need a batch of at least 2")
     weights = LossWeights.from_config(cfg)
     opt.zero_grad()
     with Tape() as tape:

@@ -1,33 +1,31 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
-Criteria 6 and 7 train real models (about 8 minutes each on 2 cores); run
-the file with ``pytest tests/test_acceptance.py -v -s`` to watch progress.
-The two trainings are shared through session fixtures.
+Criteria 2-5 are unit-level and checked here. Criteria 1, 6, 7 and 8 are
+experiments, each defined by the one recipe in recipes/ that gates it, and
+their tests run that recipe: ``gradcheck-all`` (1), ``twin-disambiguation``
+(6 and 7) and ``determinism`` (8). ``twin-disambiguation`` trains two desk
+models (about 3.5 minutes each on 2 cores) once per session; run the file with
+``pytest tests/test_acceptance.py -v -s`` to watch its commands.
 """
 
 import json
 import math
 import os
 import sys
-import time
 
 import numpy as np
 import pytest
 from oracles import cma_oracle, ima_oracle
 
 from vltrack import align
-from vltrack import backbone as bb
 from vltrack import head as hd
-from vltrack import pipeline as pl
 from vltrack.align import ContrastConfig
-from vltrack.checkpoint import load_checkpoint
-from vltrack.cli import main as cli_main
 from vltrack.config import Config
-from vltrack.docsbench import gradient_fidelity, run_recipe
+from vltrack.docsbench import run_recipe
 from vltrack.head import BBox
 from vltrack.model import TrackerModel
 from vltrack.numcore import Tensor
-from vltrack.pipeline import LossWeights, compute_metrics, resolve_vocab, total_loss, twin_disambiguation
+from vltrack.pipeline import LossWeights, compute_metrics, resolve_vocab, total_loss
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "hand_values.json")
 
@@ -38,6 +36,11 @@ def report(criterion, passed, detail):
     assert passed, line
 
 
+def report_recipe(criterion, result):
+    outcome = result.criteria[criterion]
+    report(criterion, outcome.passed, f"{result.name}: {outcome.detail}")
+
+
 @pytest.fixture(scope="session")
 def golden():
     with open(GOLDEN, encoding="utf-8") as fh:
@@ -45,53 +48,14 @@ def golden():
 
 
 @pytest.fixture(scope="session")
-def twin_workspace(tmp_path_factory):
-    """Twin-rich training data, a trained VL model, and its no-MMA ablation."""
-    root = tmp_path_factory.mktemp("acceptance")
-    data = root / "data"
-    code = cli_main(
-        ["generate", "--out", str(data), "--train-count", "8", "--eval-count", "0",
-         "--twin-fraction", "1.0", "--twin-suite", "--seed", "0"]
-    )
-    assert code == 0
-
-    def train(out, extra):
-        started = time.perf_counter()
-        code = cli_main(
-            ["train", "--data", str(data / "train"), "--out", str(out), "--iters", "2000", "--quiet", *extra]
-        )
-        assert code == 0
-        return time.perf_counter() - started
-
-    vl_seconds = train(root / "run_vl", [])
-    ablation_seconds = train(root / "run_ablate", ["--ablate", "no-mma"])
-
-    def load(run_dir):
-        state = load_checkpoint(run_dir / "checkpoint.aio")
-        model = TrackerModel(state.config, resolve_vocab(state.config))
-        model.load_state(state.params)
-        return model, state.config
-
-    vl_model, vl_cfg = load(root / "run_vl")
-    ablation_model, ablation_cfg = load(root / "run_ablate")
-    return {
-        "data": data,
-        "vl": (vl_model, vl_cfg),
-        "ablation": (ablation_model, ablation_cfg),
-        "vl_seconds": vl_seconds,
-        "ablation_seconds": ablation_seconds,
-    }
+def twin_recipe(tmp_path_factory):
+    """One run of the recipe that gates criteria 6 and 7."""
+    return run_recipe("twin-disambiguation", workdir=str(tmp_path_factory.mktemp("twin")))
 
 
 class TestCriterion1GradientFidelity:
-    def test_gradient_fidelity(self):
-        result = gradient_fidelity(Config())
-        worst = max(e["max_rel_err"] for e in result["losses"].values())
-        detail = (
-            f"max rel err {worst:.2e} over L_cls/L_giou/L_1/L_cma/L_ima/L_total "
-            f"(tol 1e-3), runtime {result['runtime_s']:.1f}s < 60s"
-        )
-        report(1, result["passed"] and result["runtime_s"] < 60.0, detail)
+    def test_gradient_fidelity(self, tmp_path):
+        report_recipe(1, run_recipe("gradcheck-all", workdir=str(tmp_path), quiet=True))
 
 
 class TestCriterion2ContrastiveOracle:
@@ -191,38 +155,15 @@ class TestCriterion5MetricOracle:
 
 
 class TestCriterion6OverfitSmoke:
-    def test_overfit_training_tracks_its_own_sequences(self, twin_workspace):
-        model, cfg = twin_workspace["vl"]
-        summary, _ = pl.evaluate(model, twin_workspace["data"] / "train", cfg)
-        seconds = twin_workspace["vl_seconds"]
-        ok = summary["ACC"] >= 0.5 and seconds <= 900.0
-        report(
-            6,
-            ok,
-            f"2000-iteration desk model: mean per-frame IoU {summary['ACC']:.3f} >= 0.5 on its 8 training "
-            f"sequences; training wall clock {seconds:.0f}s <= 900s",
-        )
+    def test_overfit_training_tracks_its_own_sequences(self, twin_recipe):
+        report_recipe(6, twin_recipe)
 
 
 class TestCriterion7LanguageDisambiguation:
-    def test_twin_suite_follow_and_flip(self, twin_workspace):
-        vl_model, vl_cfg = twin_workspace["vl"]
-        ab_model, ab_cfg = twin_workspace["ablation"]
-        twin_dir = twin_workspace["data"] / "twin"
-        vl = twin_disambiguation(vl_model, twin_dir, vl_cfg)
-        ablation = twin_disambiguation(ab_model, twin_dir, ab_cfg)
-        ok = vl["correct_rate"] >= 0.70 and vl["flip_rate"] >= 0.60
-        detail = (
-            f"VL model: correct {vl['correct_rate']:.3f} (>= 0.70), flip {vl['flip_rate']:.3f} (>= 0.60) "
-            f"over {vl['frames']} frames; no-MMA ablation alongside: correct {ablation['correct_rate']:.3f}, "
-            f"flip {ablation['flip_rate']:.3f} "
-            f"(improvement direction: correct {'+' if vl['correct_rate'] >= ablation['correct_rate'] else '-'}, "
-            f"flip {'+' if vl['flip_rate'] >= ablation['flip_rate'] else '-'})"
-        )
-        report(7, ok, detail)
+    def test_twin_suite_follow_and_flip(self, twin_recipe):
+        report_recipe(7, twin_recipe)
 
 
 class TestCriterion8Determinism:
     def test_datasets_checkpoints_reports_byte_identical(self, tmp_path):
-        result = run_recipe("determinism", workdir=str(tmp_path), quiet=True)
-        report(8, result.passed, result.detail)
+        report_recipe(8, run_recipe("determinism", workdir=str(tmp_path), quiet=True))

@@ -142,6 +142,7 @@ class TestCheckpoint:
             mean_includes_cls="true",
             mixup_shared_linear="true",
             norm_placement="post",
+            text_embed_std="1.0",
             token_reduce="mean",
         )
         state = load_checkpoint(with_retired_lines(**former))

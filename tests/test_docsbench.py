@@ -1,13 +1,12 @@
 """Recipe loading, coverage of the acceptance criteria, and the runner."""
 
 import json
-import os
+import time
 
 import pytest
 
 from vltrack.config import Config
 from vltrack.docsbench import (
-    RECIPES_DIR,
     gradient_fidelity,
     load_recipes,
     micro_batch,
@@ -18,22 +17,32 @@ from vltrack.errors import VLTrackError
 from vltrack.pipeline import resolve_vocab
 
 
+def run_temp_recipe(tmp_path, commands, checks=()):
+    """Run a one-off recipe from its own recipes directory, working in tmp_path/w."""
+    recipe = {"name": "temp", "description": "x", "expected": "x", "commands": commands, "checks": list(checks)}
+    rdir = tmp_path / "recipes"
+    rdir.mkdir()
+    (rdir / "temp.json").write_text(json.dumps(recipe))
+    return run_recipe("temp", workdir=str(tmp_path / "w"), recipes_dir=str(rdir), quiet=True)
+
+
 class TestRecipes:
     def test_recipes_load(self):
         recipes = load_recipes()
-        assert {"gradcheck-all", "overfit-8", "twin-disambiguation", "determinism"} <= set(recipes)
+        assert {"gradcheck-all", "twin-disambiguation", "determinism"} <= set(recipes)
         for recipe in recipes.values():
             assert recipe.commands and recipe.expected
 
     def test_every_acceptance_criterion_covered_exactly_once(self):
+        # the experiment-level criteria; 2-5 are unit tests in test_acceptance.py
         recipes = load_recipes()
         coverage = {}
         for recipe in recipes.values():
             for criterion in recipe.criteria:
                 coverage.setdefault(criterion, []).append(recipe.name)
-        for criterion in range(1, 9):
-            assert coverage.get(criterion, []), f"criterion {criterion} not covered"
-            assert len(coverage[criterion]) == 1, f"criterion {criterion} covered by {coverage[criterion]}"
+        assert set(coverage) == {1, 6, 7, 8}, coverage
+        for criterion, names in coverage.items():
+            assert len(names) == 1, f"criterion {criterion} covered by {names}"
 
     def test_unknown_recipe_message_is_actionable(self):
         with pytest.raises(VLTrackError) as err:
@@ -42,19 +51,49 @@ class TestRecipes:
 
     def test_missing_prerequisite_reports_actionably(self, tmp_path):
         # eval against a dataset that was never generated
-        bad = {
-            "name": "needs-input",
-            "description": "x",
-            "expected": "x",
-            "commands": ["vltrack eval --data {work}/nowhere --ckpt {work}/none.aio --out {work}/r"],
-            "check": {"kind": "exit-zero"},
-        }
-        rdir = tmp_path / "recipes"
-        rdir.mkdir()
-        (rdir / "needs-input.json").write_text(json.dumps(bad))
-        result = run_recipe("needs-input", workdir=str(tmp_path / "w"), recipes_dir=str(rdir), quiet=True)
+        result = run_temp_recipe(tmp_path, ["vltrack eval --data {work}/nowhere --ckpt {work}/none.aio --out {work}/r"])
         assert not result.passed
         assert "generate" in result.detail
+
+    def test_unknown_program_is_rejected_before_anything_runs(self, tmp_path):
+        commands = ["vltrack generate --out {work}/data --train-count 1 --eval-count 0 --frames 4", "python -c 1"]
+        with pytest.raises(VLTrackError, match="'python'"):
+            run_temp_recipe(tmp_path, commands)
+        assert not (tmp_path / "w" / "data").exists()
+
+    def test_checks_report_per_criterion(self, tmp_path):
+        # the max bound is strict, so the second criterion fails at equality
+        meta = "data/train/seq_000/meta.json"
+        result = run_temp_recipe(
+            tmp_path,
+            ["vltrack generate --out {work}/data --train-count 1 --eval-count 0 --frames 4"],
+            [
+                {"criterion": 1, "kind": "json-number", "file": meta, "path": ["num_frames"], "min": 4},
+                {"criterion": 2, "kind": "json-number", "file": meta, "path": ["num_frames"], "max": 4},
+                {"kind": "json-flag", "file": meta, "path": ["canvas"]},
+            ],
+        )
+        assert set(result.criteria) == {1, 2} and not result.passed
+        assert result.criteria[1].passed
+        assert not result.criteria[2].passed
+        assert result.criteria[2].detail == "num_frames = 4 (need < 4)"
+
+    def test_wall_time_check_reads_its_own_command(self, tmp_path, monkeypatch):
+        import vltrack.cli
+
+        monkeypatch.setattr(vltrack.cli, "main", lambda argv: time.sleep(float(argv[1])) or 0)
+        result = run_temp_recipe(
+            tmp_path,
+            ["vltrack sleep 0", "vltrack sleep 0.3"],
+            [
+                {"criterion": 1, "kind": "wall-time", "command": 0, "max": 0.2},
+                {"criterion": 2, "kind": "wall-time", "command": 1, "max": 0.2},
+            ],
+        )
+        assert len(result.command_seconds) == 2 and result.command_seconds[1] >= 0.3
+        assert result.criteria[1].passed
+        assert not result.criteria[2].passed
+        assert f"{result.command_seconds[1]:.4g}" in result.criteria[2].detail
 
     def test_junit_report_shape(self, tmp_path):
         from vltrack.docsbench import RecipeResult

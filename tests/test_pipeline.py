@@ -1,5 +1,6 @@
 """Loss assembly, optimizer, training loop behavior, tracking, and metrics."""
 
+import dataclasses
 import math
 import os
 
@@ -60,8 +61,6 @@ class TestSampleTrainingBatch:
         assert all(pl.sample_training_sample(records[0], rng, cfg).prompt == records[0].class_word for _ in range(40))
 
     def test_records_without_partners_draw_exactly_sample_pair(self, small_setup, small_cfg):
-        import dataclasses
-
         records, _, _, _ = small_setup
         plain = dataclasses.replace(records[0], objects=[])
         a, b = np.random.default_rng(2), np.random.default_rng(2)
@@ -230,6 +229,16 @@ class TestTrainStep:
         t2, p2 = run()
         assert t1 == t2
         assert p1 == p2
+
+    def test_batch_of_one_with_contrastive_weights_is_rejected_untouched(self, small_setup, small_cfg):
+        _, vocab, _, batch = small_setup
+        one = dataclasses.replace(batch, **{f.name: getattr(batch, f.name)[:1] for f in dataclasses.fields(batch)})
+        model = TrackerModel(small_cfg, vocab)
+        opt = AdamW(model.named_parameters(), lr=1e-4)
+        before = {k: t.data.tobytes() for k, t in model.named_parameters().items()}
+        with pytest.raises(ContractError, match="at least 2"):
+            pl.train_step(model, one, opt, small_cfg)
+        assert {k: t.data.tobytes() for k, t in model.named_parameters().items()} == before
 
     def test_non_finite_loss_aborts_with_component_dump(self, small_setup, small_cfg):
         _, vocab, _, batch = small_setup

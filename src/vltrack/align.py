@@ -22,22 +22,10 @@ import numpy as np
 from . import numcore as nc
 from .backbone import LinearParams, init_linear
 from .embedders import reduce_language
-from .errors import ConfigurationError, ContractError
+from .errors import ContractError
 from .numcore import Tensor, named_stream
 
 COSINE_EPS = 1e-8
-
-
-@dataclass(frozen=True)
-class ContrastConfig:
-    tau: float = 0.5
-    denominator_mode: str = "standard"
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ConfigurationError(f"temperature must be positive, got {self.tau}")
-        if self.denominator_mode not in ("standard", "literal"):
-            raise ConfigurationError(f"unknown denominator mode {self.denominator_mode!r}")
 
 
 @dataclass
@@ -85,7 +73,7 @@ def _masks(n: int, dtype):
     return Tensor(eye), Tensor(1.0 - eye)
 
 
-def _directional(pos_matrix: Tensor, neg_matrices: list[Tensor], cfg: ContrastConfig) -> Tensor:
+def _directional(pos_matrix: Tensor, neg_matrices: list[Tensor], tau: float, denominator_mode: str) -> Tensor:
     """Mean over anchors of -log(exp(pos/tau) / denominator).
 
     ``pos_matrix`` holds the positive similarity on its diagonal; the
@@ -95,12 +83,12 @@ def _directional(pos_matrix: Tensor, neg_matrices: list[Tensor], cfg: ContrastCo
     n = pos_matrix.shape[0]
     dtype = pos_matrix.data.dtype
     eye, off = _masks(n, dtype)
-    inv_tau = 1.0 / cfg.tau
+    inv_tau = 1.0 / tau
     pos = nc.tensor_sum(pos_matrix * eye, axis=1) * inv_tau
     denom = nc.tensor_sum(nc.exp(neg_matrices[0] * inv_tau) * off, axis=1)
     for m in neg_matrices[1:]:
         denom = denom + nc.tensor_sum(nc.exp(m * inv_tau) * off, axis=1)
-    if cfg.denominator_mode == "standard":
+    if denominator_mode == "standard":
         denom = denom + nc.exp(pos)
     return nc.mean(nc.log(denom) - pos)
 
@@ -115,7 +103,7 @@ def _batched(*tensors):
     return n
 
 
-def cma_loss(fx: Tensor, fz: Tensor, ft: Tensor, cfg: ContrastConfig) -> Tensor:
+def cma_loss(fx: Tensor, fz: Tensor, ft: Tensor, tau: float, denominator_mode: str) -> Tensor:
     """Cross-modal loss: 0.5*(x2t + z2t) + 0.5*(t2z + t2x).
 
     Negatives for anchor i are the other N-1 samples' embeddings of the
@@ -124,20 +112,20 @@ def cma_loss(fx: Tensor, fz: Tensor, ft: Tensor, cfg: ContrastConfig) -> Tensor:
     _batched(fx, fz, ft)
     s_xt = _cosine_matrix(fx, ft)
     s_zt = _cosine_matrix(fz, ft)
-    x2t = _directional(s_xt, [s_xt], cfg)
-    z2t = _directional(s_zt, [s_zt], cfg)
-    t2x = _directional(nc.transpose(s_xt, (1, 0)), [nc.transpose(s_xt, (1, 0))], cfg)
-    t2z = _directional(nc.transpose(s_zt, (1, 0)), [nc.transpose(s_zt, (1, 0))], cfg)
+    x2t = _directional(s_xt, [s_xt], tau, denominator_mode)
+    z2t = _directional(s_zt, [s_zt], tau, denominator_mode)
+    t2x = _directional(nc.transpose(s_xt, (1, 0)), [nc.transpose(s_xt, (1, 0))], tau, denominator_mode)
+    t2z = _directional(nc.transpose(s_zt, (1, 0)), [nc.transpose(s_zt, (1, 0))], tau, denominator_mode)
     return 0.5 * (x2t + z2t) + 0.5 * (t2z + t2x)
 
 
-def ima_loss(fx: Tensor, fz: Tensor, cfg: ContrastConfig) -> Tensor:
+def ima_loss(fx: Tensor, fz: Tensor, tau: float, denominator_mode: str) -> Tensor:
     """Intra-modal loss: 0.5*(x2z + z2x) with 2(N-1) vision negatives per anchor."""
     _batched(fx, fz)
     s_xz = _cosine_matrix(fx, fz)
     s_xx = _cosine_matrix(fx, fx)
     s_zz = _cosine_matrix(fz, fz)
     s_zx = nc.transpose(s_xz, (1, 0))
-    x2z = _directional(s_xz, [s_xz, s_xx], cfg)
-    z2x = _directional(s_zx, [s_zx, s_zz], cfg)
+    x2z = _directional(s_xz, [s_xz, s_xx], tau, denominator_mode)
+    z2x = _directional(s_zx, [s_zx, s_zz], tau, denominator_mode)
     return 0.5 * (x2z + z2x)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numcore as nc
-from .errors import ConfigurationError
 from .numcore import Tensor, named_stream, truncated_normal
 
 
@@ -68,30 +67,16 @@ def init_encoder_layer(rng, dim: int) -> EncoderLayerParams:
     )
 
 
-@dataclass(frozen=True)
-class BackboneConfig:
-    layers: int = 4
-    heads: int = 4
-    dim: int = 96
-
-    def __post_init__(self):
-        if self.layers < 0 or self.heads < 1:
-            raise ConfigurationError(f"invalid layer/head counts {self.layers}/{self.heads}")
-        if self.dim % self.heads:
-            raise ConfigurationError(f"dim {self.dim} is not divisible by heads {self.heads}")
-
-
 @dataclass
 class BackboneParams:
     mixup: LinearParams
     layers: list[EncoderLayerParams] = field(default_factory=list)
 
 
-def init_backbone(cfg: BackboneConfig, seed: int) -> BackboneParams:
+def init_backbone(dim: int, layers: int, seed: int) -> BackboneParams:
     rng = named_stream(seed, "init.backbone")
-    mixup = init_linear(rng, cfg.dim, cfg.dim)
-    layers = [init_encoder_layer(rng, cfg.dim) for _ in range(cfg.layers)]
-    return BackboneParams(mixup=mixup, layers=layers)
+    mixup = init_linear(rng, dim, dim)
+    return BackboneParams(mixup=mixup, layers=[init_encoder_layer(rng, dim) for _ in range(layers)])
 
 
 def modal_mixup(hx: Tensor, hz: Tensor, t: Tensor, gate: LinearParams):
@@ -146,7 +131,7 @@ def encoder_layer(fx: Tensor, fz: Tensor, p: EncoderLayerParams, heads: int):
     return out_x, out_z
 
 
-def forward(hx: Tensor, hz: Tensor, t: Tensor | None, params: BackboneParams, cfg: BackboneConfig):
+def forward(hx: Tensor, hz: Tensor, t: Tensor | None, params: BackboneParams, heads: int):
     """Mixup then the full encoder stack; returns last-layer (search, template) tokens.
 
     ``t`` is the reduced language vector; ``None`` runs the language-free
@@ -157,5 +142,5 @@ def forward(hx: Tensor, hz: Tensor, t: Tensor | None, params: BackboneParams, cf
     else:
         fx, fz = modal_mixup(hx, hz, t, params.mixup)
     for layer in params.layers:
-        fx, fz = encoder_layer(fx, fz, layer, cfg.heads)
+        fx, fz = encoder_layer(fx, fz, layer, heads)
     return fx, fz

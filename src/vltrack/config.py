@@ -56,7 +56,7 @@ class Config:
     window_enabled: bool = True
     window_weight: float = 0.49
 
-    # ablations: "none" | "no-mma" (contrastive weights zeroed) |
+    # ablations: "none" | "no-mma" (contrastive terms not computed) |
     # "vision-only" (additionally skips the language mixup)
     ablate: str = "none"
 
@@ -73,6 +73,8 @@ class Config:
     def validate(self):
         if self.patch <= 0 or self.search_size % self.patch or self.template_size % self.patch:
             raise ConfigurationError("patch must divide search_size and template_size")
+        if self.layers < 0 or self.heads < 1:
+            raise ConfigurationError(f"invalid layer/head counts {self.layers}/{self.heads}")
         if self.dim % self.heads:
             raise ConfigurationError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.tau <= 0:

@@ -94,7 +94,7 @@ def gradient_fidelity(cfg: Config | None = None, h=1e-6, tol=1e-3, coords_per_pa
     Returns a JSON-friendly report.
     """
     from .model import TrackerModel
-    from .pipeline import LossWeights, compute_losses, resolve_vocab, total_loss
+    from .pipeline import compute_losses, resolve_vocab, total_loss
 
     cfg = (cfg or Config()).replace(batch_size=2)
     vocab = resolve_vocab(cfg)
@@ -103,11 +103,10 @@ def gradient_fidelity(cfg: Config | None = None, h=1e-6, tol=1e-3, coords_per_pa
     params = model.named_parameters()
     chosen = [name for name in GRADCHECK_PARAMS if name in params]
     inputs = [params[name] for name in chosen]
-    weights = LossWeights.from_config(cfg)
 
     def loss_fn(name):
         if name == "total":
-            return lambda *_: total_loss(compute_losses(model, batch, cfg), weights)[0]
+            return lambda *_: total_loss(compute_losses(model, batch, cfg), cfg)[0]
         return lambda *_: compute_losses(model, batch, cfg)[name]
 
     started = time.perf_counter()
@@ -218,10 +217,10 @@ def _parse_command(command: str, workdir: str):
     raise VLTrackError(f"recipe command runs unknown program {argv[0]!r}; recipes run only vltrack and twin-eval")
 
 
-def _json_value(workdir, check):
-    with open(os.path.join(workdir, check["file"]), encoding="utf-8") as fh:
+def _json_value(path, keys):
+    with open(path, encoding="utf-8") as fh:
         value = json.load(fh)
-    for key in check["path"]:
+    for key in keys:
         value = value[key]
     return value
 
@@ -235,16 +234,23 @@ def _bounded(label: str, value: float, check: dict) -> tuple[bool, str]:
 
 
 def _check_outcome(check: dict, workdir: str, commands: list, command_seconds: list) -> tuple[bool, str]:
+    """One check's (passed, detail). A check on a file no command wrote, or on
+    the time of a command that never ran, fails and says so."""
     kind = check["kind"]
-    if kind == "json-number":
-        return _bounded(".".join(check["path"]), _json_value(workdir, check), check)
-    if kind == "json-flag":
-        value = _json_value(workdir, check)
-        return bool(value), f"{'.'.join(check['path'])} = {value}"
+    if kind in ("json-number", "json-flag"):
+        path = os.path.join(workdir, check["file"])
+        if not os.path.isfile(path):
+            return False, f"{check['file']} missing"
+        label, value = ".".join(check["path"]), _json_value(path, check["path"])
+        if kind == "json-number":
+            return _bounded(label, value, check)
+        return bool(value), f"{label} = {value}"
     if kind == "wall-time":
         index = check["command"]
-        program = " ".join(shlex.split(commands[index])[:2])
-        return _bounded(f"commands[{index}] ({program}) seconds", command_seconds[index], check)
+        label = f"commands[{index}] ({' '.join(shlex.split(commands[index])[:2])}) seconds"
+        if index >= len(command_seconds):
+            return False, f"{label}: did not run"
+        return _bounded(label, command_seconds[index], check)
     if kind == "identical":
         same = [_same_bytes(os.path.join(workdir, a), os.path.join(workdir, b)) for a, b in check["pairs"]]
         details = [f"{a} vs {b}: {'identical' if ok else 'DIFFER'}" for (a, b), ok in zip(check["pairs"], same)]
@@ -271,7 +277,9 @@ def run_recipe(name: str, workdir=None, recipes_dir=None, quiet=False) -> Recipe
 
     The result holds every check's outcome, and per gated criterion the
     outcome of that criterion's checks. A recipe with no checks passes when
-    its commands exit 0.
+    its commands exit 0. A command that exits non-zero stops the run; every
+    check is still evaluated, and the recipe and each criterion it gates fail
+    with a detail that starts with the failed command.
     """
     recipes = load_recipes(recipes_dir)
     if name not in recipes:
@@ -282,6 +290,7 @@ def run_recipe(name: str, workdir=None, recipes_dir=None, quiet=False) -> Recipe
     steps = [_parse_command(command, workdir) for command in recipe.commands]
     started = time.perf_counter()
     command_seconds = []
+    failed = []  # the command that stopped the run, if one did
     for command, (program, argv) in zip(recipe.commands, steps):
         if not quiet:
             print(f"[{name}] $ {command.replace('{work}', workdir)}", flush=True)
@@ -291,22 +300,22 @@ def run_recipe(name: str, workdir=None, recipes_dir=None, quiet=False) -> Recipe
         if not quiet:
             print(f"[{name}] {command_seconds[-1]:.1f}s", flush=True)
         if code != 0:
-            detail = f"command failed with exit {code}: {command}; run `vltrack generate` first if inputs are missing"
-            failed = {criterion: Outcome(False, detail) for criterion in recipe.criteria}
-            return RecipeResult(name, False, detail, time.perf_counter() - started, command_seconds, failed)
+            hint = "run `vltrack generate` first if its inputs are missing"
+            failed.append(f"command failed with exit {code}: {command} ({hint})")
+            break
     checked = [
         (check.get("criterion"), *_check_outcome(check, workdir, recipe.commands, command_seconds))
         for check in recipe.checks
     ]
     criteria = {
         criterion: Outcome(
-            all(ok for c, ok, _ in checked if c == criterion),
-            "; ".join(detail for c, _, detail in checked if c == criterion),
+            not failed and all(ok for c, ok, _ in checked if c == criterion),
+            "; ".join(failed + [detail for c, _, detail in checked if c == criterion]),
         )
         for criterion in recipe.criteria
     }
-    passed = all(ok for _, ok, _ in checked)
-    detail = "; ".join(detail for _, _, detail in checked) or "commands exited 0"
+    passed = not failed and all(ok for _, ok, _ in checked)
+    detail = "; ".join(failed + [detail for _, _, detail in checked]) or "commands exited 0"
     return RecipeResult(name, passed, detail, time.perf_counter() - started, command_seconds, criteria)
 
 

@@ -27,42 +27,6 @@ _WORD_RE = re.compile(r"[a-z0-9]+")
 
 
 @dataclass(frozen=True)
-class PatchConfig:
-    """Geometry of the patch embedders.
-
-    ``patch`` must divide both crop sizes; token counts and the search grid
-    side follow from the division.
-    """
-
-    patch: int = 8
-    search_size: int = 64
-    template_size: int = 32
-    dim: int = 96
-
-    def __post_init__(self):
-        for name in ("search_size", "template_size"):
-            size = getattr(self, name)
-            if size % self.patch:
-                raise ConfigurationError(f"{name}={size} is not divisible by patch={self.patch}")
-
-    @property
-    def n_search(self):
-        return (self.search_size // self.patch) ** 2
-
-    @property
-    def n_template(self):
-        return (self.template_size // self.patch) ** 2
-
-    @property
-    def grid(self):
-        return self.search_size // self.patch
-
-    @property
-    def patch_vector(self):
-        return 3 * self.patch * self.patch
-
-
-@dataclass(frozen=True)
 class Vocab:
     """Word list with dense ids; 0/1/2 are reserved for [PAD]/[CLS]/[UNK]."""
 
@@ -140,10 +104,11 @@ def tokenize(prompt: str, vocab: Vocab, n_tokens: int) -> TokenizedPrompt:
     return TokenizedPrompt(tuple(ids), tuple(mask))
 
 
-def patch_embed(img: Tensor, cfg: PatchConfig, proj: Tensor, pos: Tensor) -> Tensor:
+def patch_embed(img: Tensor, patch: int, proj: Tensor, pos: Tensor) -> Tensor:
     """Patchify, project to the token dimension, and add positional embeddings.
 
-    ``img`` is (B, 3, H, W) with H, W divisible by the patch size; the
+    ``img`` is (B, 3, H, W) with H, W divisible by ``patch``; ``proj`` is
+    (3 * patch**2, D) and ``pos`` (N, D) for the N patches of the image. The
     result is (B, N, D). Patches are taken in raster order; each is flattened
     channel-major so token k is the dot product of patch k with the
     projection columns.
@@ -152,15 +117,16 @@ def patch_embed(img: Tensor, cfg: PatchConfig, proj: Tensor, pos: Tensor) -> Ten
     if img.ndim != 4:
         raise ShapeMismatchError(f"patch_embed expects a (B, 3, H, W) image batch, got shape {tuple(img.shape)}")
     b, c, h, w = img.shape
-    p = cfg.patch
+    p = patch
     if h % p or w % p:
         raise ConfigurationError(f"image {h}x{w} is not divisible by patch size {p}")
     gh, gw = h // p, w // p
     n = gh * gw
-    if proj.shape != (3 * p * p, cfg.dim):
-        raise ConfigurationError(f"projection shape {tuple(proj.shape)} != ({3 * p * p}, {cfg.dim})")
-    if pos.shape != (n, cfg.dim):
-        raise ConfigurationError(f"positional table shape {tuple(pos.shape)} != ({n}, {cfg.dim})")
+    d = proj.shape[-1]
+    if proj.shape != (3 * p * p, d):
+        raise ConfigurationError(f"projection shape {tuple(proj.shape)} != ({3 * p * p}, {d})")
+    if pos.shape != (n, d):
+        raise ConfigurationError(f"positional table shape {tuple(pos.shape)} != ({n}, {d})")
 
     x = nc.reshape(img, (b, c, gh, p, gw, p))
     x = nc.transpose(x, (0, 2, 4, 1, 3, 5))  # (b, gh, gw, c, p, p)

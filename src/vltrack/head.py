@@ -18,8 +18,6 @@ from . import numcore as nc
 from .errors import ConfigurationError, ContractError
 from .numcore import Tensor, named_stream, truncated_normal
 
-DESK_CHANNELS = (64, 32, 16)
-
 
 @dataclass(frozen=True)
 class BBox:
@@ -112,7 +110,7 @@ def _init_branch(rng, d_in, channels, out_channels) -> BranchParams:
     return BranchParams(convs)
 
 
-def init_head(dim: int, seed: int, channels=DESK_CHANNELS) -> HeadParams:
+def init_head(dim: int, seed: int, channels) -> HeadParams:
     rng = named_stream(seed, "init.head")
     return HeadParams(
         score=_init_branch(rng, dim, channels, 1),

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .align import AlignProjections, ContrastConfig, init_align, project_pool
-from .backbone import BackboneConfig, BackboneParams, init_backbone
+from .align import AlignProjections, init_align, project_pool
+from .backbone import BackboneParams, init_backbone
 from .config import Config
-from .embedders import PatchConfig, Vocab, patch_embed, reduce_language
+from .embedders import Vocab, patch_embed, reduce_language
 from .errors import CheckpointError, VocabularyError
 from .head import HeadOutput, HeadParams, head_forward, init_head
 from .numcore import Tensor, named_stream, truncated_normal
@@ -38,24 +38,22 @@ class TrackerModel:
     def __init__(self, cfg: Config, vocab: Vocab):
         self.cfg = cfg
         self.vocab = vocab
-        self.patch_cfg = PatchConfig(cfg.patch, cfg.search_size, cfg.template_size, cfg.dim)
-        self.backbone_cfg = BackboneConfig(layers=cfg.layers, heads=cfg.heads, dim=cfg.dim)
-        self.contrast_cfg = ContrastConfig(tau=cfg.tau, denominator_mode=cfg.denominator_mode)
 
         rng = named_stream(cfg.seed, "init.embed")
-        pc = self.patch_cfg
-        self.patch_proj = Tensor(truncated_normal(rng, (pc.patch_vector, cfg.dim)), requires_grad=True)
+        n_search = (cfg.search_size // cfg.patch) ** 2
+        n_template = (cfg.template_size // cfg.patch) ** 2
+        self.patch_proj = Tensor(truncated_normal(rng, (3 * cfg.patch * cfg.patch, cfg.dim)), requires_grad=True)
         self.pos_search = Tensor(
-            rng.normal(0.0, 0.02, size=(pc.n_search, cfg.dim)).astype(np.float32), requires_grad=True
+            rng.normal(0.0, 0.02, size=(n_search, cfg.dim)).astype(np.float32), requires_grad=True
         )
         self.pos_template = Tensor(
-            rng.normal(0.0, 0.02, size=(pc.n_template, cfg.dim)).astype(np.float32), requires_grad=True
+            rng.normal(0.0, 0.02, size=(n_template, cfg.dim)).astype(np.float32), requires_grad=True
         )
         self.text_table = Tensor(
             truncated_normal(rng, (vocab.size, cfg.dim), std=TEXT_EMBED_STD), requires_grad=True
         )
 
-        self.backbone: BackboneParams = init_backbone(self.backbone_cfg, cfg.seed)
+        self.backbone: BackboneParams = init_backbone(cfg.dim, cfg.layers, cfg.seed)
         self.align: AlignProjections = init_align(cfg.dim, cfg.align_dim, cfg.seed)
         self.head: HeadParams = init_head(cfg.dim, cfg.seed, channels=cfg.head_channel_plan)
 
@@ -113,8 +111,8 @@ class TrackerModel:
 
     def embed_inputs(self, search, template, ids):
         dtype = self.patch_proj.dtype
-        h0x = patch_embed(Tensor(search, dtype=dtype), self.patch_cfg, self.patch_proj, self.pos_search)
-        h0z = patch_embed(Tensor(template, dtype=dtype), self.patch_cfg, self.patch_proj, self.pos_template)
+        h0x = patch_embed(Tensor(search, dtype=dtype), self.cfg.patch, self.patch_proj, self.pos_search)
+        h0z = patch_embed(Tensor(template, dtype=dtype), self.cfg.patch, self.patch_proj, self.pos_template)
         ids = np.asarray(ids, dtype=np.int64)
         bad = ids[(ids < 0) | (ids >= self.text_table.shape[0])]
         if bad.size:
@@ -138,6 +136,6 @@ class TrackerModel:
         reduced = None
         if use_language:
             reduced = reduce_language(h0t, mask)
-        sx, sz = bb.forward(h0x, h0z, reduced, self.backbone, self.backbone_cfg)
+        sx, sz = bb.forward(h0x, h0z, reduced, self.backbone, self.cfg.heads)
         out = head_forward(sx, self.head)
         return ForwardResult(out, fx, fz, ft, sx, sz)

@@ -80,20 +80,6 @@ def assemble_batch(samples, vocab: Vocab, n_t: int) -> SampleBatch:
     )
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    giou: float = 2.0
-    l1: float = 5.0
-    cma: float = 1.0
-    ima: float = 1.0
-
-    @classmethod
-    def from_config(cls, cfg: Config) -> "LossWeights":
-        if cfg.ablate == "no-mma" or cfg.ablate == "vision-only":
-            return cls(cfg.lambda_giou, cfg.lambda_l1, 0.0, 0.0)
-        return cls(cfg.lambda_giou, cfg.lambda_l1, cfg.lambda_cma, cfg.lambda_ima)
-
-
 def build_regression_targets(boxes: np.ndarray, grid: int, patch: int):
     """Per-sample heatmaps, center-cell one-hots, and normalized gt boxes."""
     b = boxes.shape[0]
@@ -123,11 +109,15 @@ def predicted_boxes_at_cells(out, onehot: np.ndarray, cells: np.ndarray, grid: i
 
 
 def compute_losses(model: TrackerModel, batch: SampleBatch, cfg: Config) -> dict:
-    """Forward the batch and return every loss component as a scalar tensor."""
-    weights = LossWeights.from_config(cfg)
+    """Forward the batch and return every loss component as a scalar tensor.
+
+    The ablation rule lives here alone: a contrastive term is computed only
+    when ``cfg.ablate`` is "none" and its weight is positive, and language
+    enters the backbone unless the run is vision-only.
+    """
     use_language = cfg.ablate != "vision-only"
     fw = model.forward(batch.search, batch.template, batch.ids, batch.mask, use_language=use_language)
-    grid = model.patch_cfg.grid
+    grid = fw.head.grid
     heat, onehot, cells, gt_norm = build_regression_targets(batch.boxes, grid, cfg.patch)
 
     pred = predicted_boxes_at_cells(fw.head, onehot, cells, grid)
@@ -136,18 +126,21 @@ def compute_losses(model: TrackerModel, batch: SampleBatch, cfg: Config) -> dict
         "giou": giou_loss_tensor(pred, gt_norm),
         "l1": l1_loss_tensor(pred, gt_norm),
     }
-    if weights.cma > 0:
-        losses["cma"] = cma_loss(fw.align_search, fw.align_template, fw.align_language, model.contrast_cfg)
-    if weights.ima > 0:
-        losses["ima"] = ima_loss(fw.align_search, fw.align_template, model.contrast_cfg)
+    contrastive = cfg.ablate == "none"
+    if contrastive and cfg.lambda_cma > 0:
+        losses["cma"] = cma_loss(fw.align_search, fw.align_template, fw.align_language, cfg.tau, cfg.denominator_mode)
+    if contrastive and cfg.lambda_ima > 0:
+        losses["ima"] = ima_loss(fw.align_search, fw.align_template, cfg.tau, cfg.denominator_mode)
     return losses
 
 
-def total_loss(components: dict, weights: LossWeights):
-    """L_total = L_cls + (w_giou*L_giou + w_l1*L_1) + w_cma*L_cma + w_ima*L_ima.
+def total_loss(components: dict, cfg: Config):
+    """L_total = L_cls + (λ_giou*L_giou + λ_l1*L_1) + λ_cma*L_cma + λ_ima*L_ima.
 
-    Returns the scalar tensor and a float breakdown for logging; absent
-    contrastive components count as zero.
+    The λs are the ``lambda_*`` fields of ``cfg``. Returns the scalar tensor
+    and a float breakdown for logging; absent components count as zero, so
+    the contrastive terms ``compute_losses`` skips under an ablation add
+    nothing.
     """
     zero = Tensor(np.zeros((), dtype=np.float32))
     cls = components.get("cls", zero)
@@ -155,7 +148,7 @@ def total_loss(components: dict, weights: LossWeights):
     l1 = components.get("l1", zero)
     cma = components.get("cma", zero)
     ima = components.get("ima", zero)
-    total = cls + (weights.giou * giou + weights.l1 * l1) + weights.cma * cma + weights.ima * ima
+    total = cls + (cfg.lambda_giou * giou + cfg.lambda_l1 * l1) + cfg.lambda_cma * cma + cfg.lambda_ima * ima
     breakdown = {
         "total": total.item(),
         "cls": cls.item(),
@@ -259,11 +252,10 @@ def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
 
 def train_step(model: TrackerModel, batch: SampleBatch, opt: AdamW, cfg: Config, lr=None) -> dict:
     """One forward/backward/update; aborts with a diagnostic on non-finite loss."""
-    weights = LossWeights.from_config(cfg)
     opt.zero_grad()
     with Tape() as tape:
         components = compute_losses(model, batch, cfg)
-        total, breakdown = total_loss(components, weights)
+        total, breakdown = total_loss(components, cfg)
         if not math.isfinite(breakdown["total"]):
             raise TrainingDiverged(f"non-finite loss; components: {breakdown}")
         tape.backward(total)
@@ -334,7 +326,11 @@ def _truncate_log(log_path, iteration: int):
 
 
 def train(cfg: Config, dataset_dir, out_dir, resume=None, quiet=False):
-    """Full training run; returns (model, final checkpoint path, seconds)."""
+    """Full training run; returns (model, final checkpoint path, seconds).
+
+    A step with a non-finite loss raises ``TrainingDiverged`` out of the
+    loop, so the last periodic checkpoint stays on disk untouched.
+    """
     from .checkpoint import load_checkpoint, save_checkpoint
 
     os.makedirs(out_dir, exist_ok=True)
@@ -366,11 +362,7 @@ def train(cfg: Config, dataset_dir, out_dir, resume=None, quiet=False):
         for it in range(start_iter, cfg.iters):
             batch = sample_training_batch(records, sampler, cfg, vocab)
             lr = cosine_lr(cfg.lr, it, cfg.iters)
-            try:
-                breakdown = train_step(model, batch, opt, cfg, lr)
-            except TrainingDiverged:
-                # the last periodic checkpoint stays on disk untouched
-                raise
+            breakdown = train_step(model, batch, opt, cfg, lr)
             step = it + 1
             if step % cfg.log_every == 0 or step == cfg.iters:
                 writer.writerow(

@@ -19,13 +19,12 @@ from oracles import cma_oracle, ima_oracle
 
 from vltrack import align
 from vltrack import head as hd
-from vltrack.align import ContrastConfig
 from vltrack.config import Config
 from vltrack.docsbench import run_recipe
 from vltrack.head import BBox
 from vltrack.model import TrackerModel
 from vltrack.numcore import Tensor
-from vltrack.pipeline import LossWeights, compute_metrics, resolve_vocab, total_loss
+from vltrack.pipeline import compute_metrics, resolve_vocab, total_loss
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "hand_values.json")
 
@@ -67,13 +66,13 @@ class TestCriterion2ContrastiveOracle:
             fz = Tensor(rng.normal(size=(n, 16)).astype(np.float32))
             ft = Tensor(rng.normal(size=(n, 16)).astype(np.float32))
             for mode in ("standard", "literal"):
-                cfg = ContrastConfig(tau=0.5, denominator_mode=mode)
-                worst = max(worst, abs(align.cma_loss(fx, fz, ft, cfg).item() - cma_oracle(fx.data, fz.data, ft.data, 0.5, mode)))
-                worst = max(worst, abs(align.ima_loss(fx, fz, cfg).item() - ima_oracle(fx.data, fz.data, 0.5, mode)))
+                cma = align.cma_loss(fx, fz, ft, 0.5, mode).item()
+                ima = align.ima_loss(fx, fz, 0.5, mode).item()
+                worst = max(worst, abs(cma - cma_oracle(fx.data, fz.data, ft.data, 0.5, mode)))
+                worst = max(worst, abs(ima - ima_oracle(fx.data, fz.data, 0.5, mode)))
         same = Tensor(np.tile([0.6, -0.8], (2, 1)).astype(np.float32))
-        std = ContrastConfig(tau=0.5, denominator_mode="standard")
-        cma_closed = abs(align.cma_loss(same, same, same, std).item() - 2 * math.log(2))
-        ima_closed = abs(align.ima_loss(same, same, std).item() - math.log(3))
+        cma_closed = abs(align.cma_loss(same, same, same, 0.5, "standard").item() - 2 * math.log(2))
+        ima_closed = abs(align.ima_loss(same, same, 0.5, "standard").item() - math.log(3))
         worst = max(worst, cma_closed, ima_closed)
         report(2, worst < 1e-6, f"vectorized vs double-loop oracle, N=2..8, both modes: max |diff| {worst:.2e} < 1e-6")
 
@@ -129,7 +128,7 @@ class TestCriterion4LossHandValues:
             "cma": Tensor(np.array(1.0, np.float32)),
             "ima": Tensor(np.array(0.5, np.float32)),
         }
-        total, _ = total_loss(comps, LossWeights(2.0, 5.0, 1.0, 1.0))
+        total, _ = total_loss(comps, Config(lambda_giou=2.0, lambda_l1=5.0, lambda_cma=1.0, lambda_ima=1.0))
         diffs["eq12_total"] = abs(total.item() - golden["total_eq12_example"])
         worst = max(diffs.values())
         report(4, worst <= 1e-5, f"focal/GIoU/L1/total hand values vs golden file: max |diff| {worst:.2e} <= 1e-5")

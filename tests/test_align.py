@@ -8,13 +8,12 @@ from oracles import cma_oracle, cos_oracle, ima_oracle
 
 from vltrack import align
 from vltrack import numcore as nc
-from vltrack.align import AlignProjections, ContrastConfig
+from vltrack.align import AlignProjections
 from vltrack.backbone import LinearParams
-from vltrack.errors import ConfigurationError, ContractError
+from vltrack.errors import ContractError
 from vltrack.numcore import Tensor
 
-STD = ContrastConfig(tau=0.5, denominator_mode="standard")
-LIT = ContrastConfig(tau=0.5, denominator_mode="literal")
+TAU = 0.5
 
 
 def embeddings(n, c, seed):
@@ -78,32 +77,32 @@ class TestCosine:
 class TestClosedForms:
     def test_cma_identical_embeddings(self):
         f = Tensor(np.tile([0.6, -0.8], (2, 1)).astype(np.float32))
-        loss = align.cma_loss(f, f, f, STD).item()
+        loss = align.cma_loss(f, f, f, TAU, "standard").item()
         assert abs(loss - 2 * math.log(2)) < 1e-6
 
     def test_cma_unit_pos_zero_neg(self):
         fx = Tensor(np.eye(2, dtype=np.float32))
-        loss = align.cma_loss(fx, fx, fx, STD).item()
+        loss = align.cma_loss(fx, fx, fx, TAU, "standard").item()
         expect = 2 * (math.log(1 + math.exp(2)) - 2)  # 4 * -ln(e^2/(e^2+1)) / 2
         assert abs(loss - 0.25385) < 1e-4
         assert abs(loss - expect) < 1e-6
 
     def test_cma_literal_mode_is_unbounded_below(self):
         fx = Tensor(np.eye(2, dtype=np.float32))
-        loss = align.cma_loss(fx, fx, fx, LIT).item()
+        loss = align.cma_loss(fx, fx, fx, TAU, "literal").item()
         assert abs(loss - (-4.0)) < 1e-5
 
     def test_ima_identical_embeddings(self):
         f = Tensor(np.tile([1.0, 1.0], (2, 1)).astype(np.float32))
-        assert abs(align.ima_loss(f, f, STD).item() - math.log(3)) < 1e-6
+        assert abs(align.ima_loss(f, f, TAU, "standard").item() - math.log(3)) < 1e-6
 
     def test_ima_identical_literal(self):
         f = Tensor(np.tile([1.0, 1.0], (2, 1)).astype(np.float32))
-        assert abs(align.ima_loss(f, f, LIT).item() - math.log(2)) < 1e-6
+        assert abs(align.ima_loss(f, f, TAU, "literal").item() - math.log(2)) < 1e-6
 
     def test_ima_opposed_negatives(self):
         fx = Tensor(np.array([[1.0, 0.0], [-1.0, 0.0]], dtype=np.float32))
-        loss = align.ima_loss(fx, fx, STD).item()
+        loss = align.ima_loss(fx, fx, TAU, "standard").item()
         expect = -math.log(math.exp(2) / (math.exp(2) + 2 * math.exp(-2)))
         assert abs(loss - 0.0360) < 1e-4
         assert abs(loss - expect) < 1e-6
@@ -111,19 +110,19 @@ class TestClosedForms:
 
 class TestOracleEquivalence:
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
-    @pytest.mark.parametrize("cfg", [STD, LIT], ids=["standard", "literal"])
-    def test_cma_matches_double_loop(self, n, cfg):
+    @pytest.mark.parametrize("mode", ["standard", "literal"])
+    def test_cma_matches_double_loop(self, n, mode):
         fx, fz, ft = embeddings(n, 16, seed=100 + n)
-        got = align.cma_loss(fx, fz, ft, cfg).item()
-        expect = cma_oracle(fx.data, fz.data, ft.data, cfg.tau, cfg.denominator_mode)
+        got = align.cma_loss(fx, fz, ft, TAU, mode).item()
+        expect = cma_oracle(fx.data, fz.data, ft.data, TAU, mode)
         assert abs(got - expect) < 1e-6
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
-    @pytest.mark.parametrize("cfg", [STD, LIT], ids=["standard", "literal"])
-    def test_ima_matches_double_loop(self, n, cfg):
+    @pytest.mark.parametrize("mode", ["standard", "literal"])
+    def test_ima_matches_double_loop(self, n, mode):
         fx, fz, _ = embeddings(n, 16, seed=200 + n)
-        got = align.ima_loss(fx, fz, cfg).item()
-        expect = ima_oracle(fx.data, fz.data, cfg.tau, cfg.denominator_mode)
+        got = align.ima_loss(fx, fz, TAU, mode).item()
+        expect = ima_oracle(fx.data, fz.data, TAU, mode)
         assert abs(got - expect) < 1e-6
 
 
@@ -131,54 +130,48 @@ class TestProperties:
     def test_standard_terms_nonnegative(self):
         for seed in range(5):
             fx, fz, ft = embeddings(4, 8, seed=seed)
-            assert align.cma_loss(fx, fz, ft, STD).item() >= 0.0
-            assert align.ima_loss(fx, fz, STD).item() >= 0.0
+            assert align.cma_loss(fx, fz, ft, TAU, "standard").item() >= 0.0
+            assert align.ima_loss(fx, fz, TAU, "standard").item() >= 0.0
 
     def test_equal_logits_hit_log_k_plus_one(self):
         # all-identical embeddings: every logit equal; K = N-1 for CMA terms,
         # K = 2(N-1) for IMA terms
         for n in (2, 4):
             f = Tensor(np.tile([0.3, 0.4], (n, 1)).astype(np.float32))
-            assert abs(align.cma_loss(f, f, f, STD).item() - 2 * math.log(n)) < 1e-5
-            assert abs(align.ima_loss(f, f, STD).item() - math.log(2 * n - 1)) < 1e-5
+            assert abs(align.cma_loss(f, f, f, TAU, "standard").item() - 2 * math.log(n)) < 1e-5
+            assert abs(align.ima_loss(f, f, TAU, "standard").item() - math.log(2 * n - 1)) < 1e-5
 
     def test_invariant_to_positive_rescaling(self):
         fx, fz, ft = embeddings(4, 8, seed=33)
         scaled = Tensor(fx.data.copy())
         scaled.data[2] *= 7.5
-        a = align.cma_loss(fx, fz, ft, STD).item()
-        b = align.cma_loss(scaled, fz, ft, STD).item()
+        a = align.cma_loss(fx, fz, ft, TAU, "standard").item()
+        b = align.cma_loss(scaled, fz, ft, TAU, "standard").item()
         assert abs(a - b) < 1e-5
 
     def test_permutation_invariance_over_batch(self):
         fx, fz, ft = embeddings(5, 8, seed=34)
         perm = np.array([4, 2, 0, 3, 1])
-        a = align.cma_loss(fx, fz, ft, STD).item()
-        b = align.cma_loss(Tensor(fx.data[perm]), Tensor(fz.data[perm]), Tensor(ft.data[perm]), STD).item()
+        a = align.cma_loss(fx, fz, ft, TAU, "standard").item()
+        b = align.cma_loss(Tensor(fx.data[perm]), Tensor(fz.data[perm]), Tensor(ft.data[perm]), TAU, "standard").item()
         assert abs(a - b) < 1e-5
-        c = align.ima_loss(fx, fz, STD).item()
-        d = align.ima_loss(Tensor(fx.data[perm]), Tensor(fz.data[perm]), STD).item()
+        c = align.ima_loss(fx, fz, TAU, "standard").item()
+        d = align.ima_loss(Tensor(fx.data[perm]), Tensor(fz.data[perm]), TAU, "standard").item()
         assert abs(c - d) < 1e-5
 
     def test_gradients_pass_finite_difference_check(self):
         fx, fz, ft = embeddings(3, 8, seed=35)
-        report = nc.grad_check(lambda a, b, c: align.cma_loss(a, b, c, STD), [fx, fz, ft], tol=1e-3)
+        report = nc.grad_check(lambda a, b, c: align.cma_loss(a, b, c, TAU, "standard"), [fx, fz, ft], tol=1e-3)
         assert report.passed, str(report)
-        report = nc.grad_check(lambda a, b: align.ima_loss(a, b, STD), [fx, fz], tol=1e-3)
+        report = nc.grad_check(lambda a, b: align.ima_loss(a, b, TAU, "standard"), [fx, fz], tol=1e-3)
         assert report.passed, str(report)
 
     def test_small_batch_rejected(self):
         f = Tensor(np.ones((1, 4), dtype=np.float32))
         with pytest.raises(ContractError):
-            align.cma_loss(f, f, f, STD)
+            align.cma_loss(f, f, f, TAU, "standard")
         with pytest.raises(ContractError):
-            align.ima_loss(f, f, STD)
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            ContrastConfig(tau=0.0)
-        with pytest.raises(ConfigurationError):
-            ContrastConfig(denominator_mode="both")
+            align.ima_loss(f, f, TAU, "standard")
 
 
 class TestCosineOracleAgreement:

@@ -5,8 +5,8 @@ import pytest
 
 from vltrack import backbone as bb
 from vltrack import numcore as nc
-from vltrack.backbone import BackboneConfig, LinearParams
-from vltrack.errors import ConfigurationError
+from vltrack.backbone import LinearParams
+from vltrack.config import Config
 from vltrack.numcore import Tape, Tensor
 
 
@@ -19,7 +19,7 @@ def zero_linear(d_in, d_out):
 
 @pytest.fixture
 def cfg():
-    return BackboneConfig(layers=2, heads=2, dim=8)
+    return Config(layers=2, heads=2, dim=8)
 
 
 @pytest.fixture
@@ -127,41 +127,41 @@ class TestEncoderLayer:
 class TestForward:
     def test_empty_stack_returns_mixup_outputs(self, streams):
         hx, hz, t = streams
-        cfg = BackboneConfig(layers=0, heads=2, dim=8)
-        params = bb.init_backbone(cfg, seed=0)
-        sx, sz = bb.forward(hx, hz, t, params, cfg)
+        cfg = Config(layers=0, heads=2, dim=8)
+        params = bb.init_backbone(cfg.dim, cfg.layers, seed=0)
+        sx, sz = bb.forward(hx, hz, t, params, cfg.heads)
         ex, ez = bb.modal_mixup(hx, hz, t, params.mixup)
         np.testing.assert_array_equal(sx.data, ex.data)
         np.testing.assert_array_equal(sz.data, ez.data)
 
     def test_zero_language_path_is_bit_exact(self, cfg, streams):
         hx, hz, t = streams
-        params = bb.init_backbone(cfg, seed=1)
+        params = bb.init_backbone(cfg.dim, cfg.layers, seed=1)
         params.mixup = zero_linear(8, 8)
-        with_lang = bb.forward(hx, hz, t, params, cfg)
-        without = bb.forward(hx, hz, None, params, cfg)
+        with_lang = bb.forward(hx, hz, t, params, cfg.heads)
+        without = bb.forward(hx, hz, None, params, cfg.heads)
         assert with_lang[0].data.tobytes() == without[0].data.tobytes()
         assert with_lang[1].data.tobytes() == without[1].data.tobytes()
 
     def test_desk_shapes(self):
-        cfg = BackboneConfig(layers=4, heads=4, dim=96)
-        params = bb.init_backbone(cfg, seed=2)
+        cfg = Config(layers=4, heads=4, dim=96)
+        params = bb.init_backbone(cfg.dim, cfg.layers, seed=2)
         rng = np.random.default_rng(17)
         hx = Tensor(rng.uniform(-1, 1, (64, 96)).astype(np.float32)[None])
         hz = Tensor(rng.uniform(-1, 1, (16, 96)).astype(np.float32)[None])
         t = Tensor(rng.uniform(-1, 1, 96).astype(np.float32)[None])
-        sx, sz = bb.forward(hx, hz, t, params, cfg)
+        sx, sz = bb.forward(hx, hz, t, params, cfg.heads)
         assert sx.shape == (1, 64, 96) and sz.shape == (1, 16, 96)
 
     def test_batched_matches_single(self, cfg):
-        params = bb.init_backbone(cfg, seed=3)
+        params = bb.init_backbone(cfg.dim, cfg.layers, seed=3)
         rng = np.random.default_rng(18)
         hx = rng.uniform(-1, 1, (2, 6, 8)).astype(np.float32)
         hz = rng.uniform(-1, 1, (2, 3, 8)).astype(np.float32)
         t = rng.uniform(-1, 1, (2, 8)).astype(np.float32)
-        bx, _ = bb.forward(Tensor(hx), Tensor(hz), Tensor(t), params, cfg)
+        bx, _ = bb.forward(Tensor(hx), Tensor(hz), Tensor(t), params, cfg.heads)
         for b in range(2):
-            sx, _ = bb.forward(Tensor(hx[b][None]), Tensor(hz[b][None]), Tensor(t[b][None]), params, cfg)
+            sx, _ = bb.forward(Tensor(hx[b][None]), Tensor(hz[b][None]), Tensor(t[b][None]), params, cfg.heads)
             np.testing.assert_allclose(bx.data[b], sx.data[0], atol=1e-6)
 
     def test_gradient_reaches_template_stream(self, cfg, streams):
@@ -170,17 +170,17 @@ class TestForward:
         hx, hz, t = streams
         hz = Tensor(hz.data, requires_grad=True)
         probe = Tensor(np.random.default_rng(40).uniform(-1, 1, (6, 8)).astype(np.float32))
-        params = bb.init_backbone(cfg, seed=4)
+        params = bb.init_backbone(cfg.dim, cfg.layers, seed=4)
         with Tape() as tape:
-            sx, _ = bb.forward(hx, hz, t, params, cfg)
+            sx, _ = bb.forward(hx, hz, t, params, cfg.heads)
             tape.backward(nc.tensor_sum(sx * probe))
         assert hz.grad is not None
         assert np.max(np.abs(hz.grad)) > 1e-6
 
     def test_final_rows_have_layernorm_statistics(self, cfg, streams):
         hx, hz, t = streams
-        params = bb.init_backbone(cfg, seed=5)  # default init: gain 1, bias 0
-        sx, sz = bb.forward(hx, hz, t, params, cfg)
+        params = bb.init_backbone(cfg.dim, cfg.layers, seed=5)  # default init: gain 1, bias 0
+        sx, sz = bb.forward(hx, hz, t, params, cfg.heads)
         assert np.max(np.abs(sx.data.mean(axis=-1))) <= 1e-5
         assert np.max(np.abs(sz.data.mean(axis=-1))) <= 1e-5
 
@@ -188,15 +188,10 @@ class TestForward:
         # encoder consumes exactly N_x + N_z tokens: swapping the language
         # vector changes nothing once the gate output is fixed
         hx, hz, t = streams
-        params = bb.init_backbone(cfg, seed=6)
+        params = bb.init_backbone(cfg.dim, cfg.layers, seed=6)
         params.mixup = zero_linear(8, 8)
         other_t = Tensor(np.ones((1, 8), dtype=np.float32))
-        a = bb.forward(hx, hz, t, params, cfg)
-        b = bb.forward(hx, hz, other_t, params, cfg)
+        a = bb.forward(hx, hz, t, params, cfg.heads)
+        b = bb.forward(hx, hz, other_t, params, cfg.heads)
         assert a[0].data.tobytes() == b[0].data.tobytes()
 
-
-class TestConfig:
-    def test_dim_head_divisibility(self):
-        with pytest.raises(ConfigurationError):
-            BackboneConfig(layers=1, heads=5, dim=8)

@@ -71,6 +71,23 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             Config(head_channels="8,8")
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"tau": 0.0},
+            {"denominator_mode": "both"},
+            {"heads": 5, "dim": 8},
+            {"heads": 0},
+            {"layers": -1},
+            {"search_size": 60},
+        ],
+        ids=["tau", "denominator_mode", "dim-heads", "heads", "layers", "search_size-patch"],
+    )
+    def test_model_description_rejected(self, values):
+        # Config is the only validator of the model and loss fields
+        with pytest.raises(ConfigurationError):
+            Config(**values)
+
     def test_full_scale_values_remain_valid(self):
         cfg = Config(
             patch=16,
@@ -362,6 +379,14 @@ class TestCliTrack:
 
 
 class TestCliGradCheck:
+    def test_zero_heads_config_is_a_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("heads=0\n")
+        code = main(["grad-check", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ConfigurationError") and err.count("\n") == 1, err
+
     def test_small_model_report(self, tmp_path, small_cfg_file, capsys):
         out = tmp_path / "g.json"
         code = main(["grad-check", "--config", small_cfg_file, "--out", str(out)])

@@ -95,6 +95,28 @@ class TestRecipes:
         assert not result.criteria[2].passed
         assert f"{result.command_seconds[1]:.4g}" in result.criteria[2].detail
 
+    def test_failed_command_still_evaluates_every_check(self, tmp_path):
+        # grad-check exits 1 on a failing loss but still writes its report
+        small = tmp_path / "small.cfg"
+        small.write_text("dim=16\nlayers=1\nheads=2\nalign_dim=8\nhead_channels=4,4,4\n")
+        grad_check = f"vltrack grad-check --config {small} --h 0.5 --out {{work}}/g.json"
+        result = run_temp_recipe(
+            tmp_path,
+            [grad_check, "vltrack generate --out {work}/data --train-count 1 --eval-count 0 --frames 4"],
+            [
+                {"criterion": 1, "kind": "json-flag", "file": "g.json", "path": ["passed"]},
+                {"criterion": 2, "kind": "json-number", "file": "data/train/seq_000/meta.json", "path": ["num_frames"]},
+                {"criterion": 2, "kind": "wall-time", "command": 1, "max": 60},
+            ],
+        )
+        assert not result.passed and len(result.command_seconds) == 1
+        failed = f"command failed with exit 1: {grad_check}"
+        assert result.criteria[1].detail.startswith(failed)
+        assert "passed = False" in result.criteria[1].detail
+        assert not result.criteria[2].passed and result.criteria[2].detail.startswith(failed)
+        assert "data/train/seq_000/meta.json missing" in result.criteria[2].detail
+        assert "did not run" in result.criteria[2].detail
+
     def test_junit_report_shape(self, tmp_path):
         from vltrack.docsbench import RecipeResult
 

@@ -5,7 +5,7 @@ import pytest
 
 from vltrack import embedders as emb
 from vltrack import numcore as nc
-from vltrack.embedders import CLS_ID, PAD_ID, UNK_ID, PatchConfig, TokenizedPrompt, Vocab
+from vltrack.embedders import CLS_ID, PAD_ID, UNK_ID, TokenizedPrompt, Vocab
 from vltrack.config import Config
 from vltrack.errors import ConfigurationError, ContractError, ShapeMismatchError, VocabularyError
 from vltrack.model import TrackerModel
@@ -117,26 +117,25 @@ class TestEmbedText:
 
 class TestPatchEmbed:
     def setup_method(self):
-        self.cfg = PatchConfig(patch=8, search_size=32, template_size=32, dim=12)
         rng = np.random.default_rng(1)
         self.proj = Tensor(rng.normal(size=(192, 12)).astype(np.float32))
         self.pos = Tensor(rng.normal(size=(16, 12)).astype(np.float32))
 
     def test_token_count(self):
         img = Tensor(np.zeros((1, 3, 32, 32), dtype=np.float32))
-        out = emb.patch_embed(img, self.cfg, self.proj, self.pos)
+        out = emb.patch_embed(img, 8, self.proj, self.pos)
         assert out.shape == (1, 16, 12)
 
     def test_zero_image_zero_pos(self):
         img = Tensor(np.zeros((1, 3, 32, 32), dtype=np.float32))
         zero_pos = Tensor(np.zeros((16, 12), dtype=np.float32))
-        out = emb.patch_embed(img, self.cfg, self.proj, zero_pos)
+        out = emb.patch_embed(img, 8, self.proj, zero_pos)
         np.testing.assert_array_equal(out.data[0], 0.0)
 
     def test_matches_per_patch_loop_oracle(self):
         rng = np.random.default_rng(2)
         img_np = rng.uniform(0, 1, (3, 32, 32)).astype(np.float32)
-        out = emb.patch_embed(Tensor(img_np[None]), self.cfg, self.proj, self.pos)
+        out = emb.patch_embed(Tensor(img_np[None]), 8, self.proj, self.pos)
         grid = 32 // 8
         for k in range(16):
             gi, gj = divmod(k, grid)
@@ -149,30 +148,37 @@ class TestPatchEmbed:
         x = rng.uniform(-1, 1, (3, 32, 32)).astype(np.float32)
         y = rng.uniform(-1, 1, (3, 32, 32)).astype(np.float32)
         zero_pos = Tensor(np.zeros((16, 12), dtype=np.float32))
-        fx = emb.patch_embed(Tensor(x[None]), self.cfg, self.proj, zero_pos).data[0]
-        fy = emb.patch_embed(Tensor(y[None]), self.cfg, self.proj, zero_pos).data[0]
-        fxy = emb.patch_embed(Tensor((x + y)[None]), self.cfg, self.proj, zero_pos).data[0]
+        fx = emb.patch_embed(Tensor(x[None]), 8, self.proj, zero_pos).data[0]
+        fy = emb.patch_embed(Tensor(y[None]), 8, self.proj, zero_pos).data[0]
+        fxy = emb.patch_embed(Tensor((x + y)[None]), 8, self.proj, zero_pos).data[0]
         np.testing.assert_allclose(fxy, fx + fy, atol=1e-4)
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(4)
         imgs = rng.uniform(0, 1, (2, 3, 32, 32)).astype(np.float32)
-        batched = emb.patch_embed(Tensor(imgs), self.cfg, self.proj, self.pos)
+        batched = emb.patch_embed(Tensor(imgs), 8, self.proj, self.pos)
         for b in range(2):
-            single = emb.patch_embed(Tensor(imgs[b][None]), self.cfg, self.proj, self.pos)
+            single = emb.patch_embed(Tensor(imgs[b][None]), 8, self.proj, self.pos)
             np.testing.assert_array_equal(batched.data[b], single.data[0])
 
     def test_indivisible_size_rejected(self):
         with pytest.raises(ConfigurationError):
-            emb.patch_embed(Tensor(np.zeros((1, 3, 30, 32), dtype=np.float32)), self.cfg, self.proj, self.pos)
+            emb.patch_embed(Tensor(np.zeros((1, 3, 30, 32), dtype=np.float32)), 8, self.proj, self.pos)
+
+    def test_table_shapes_checked(self):
+        img = Tensor(np.zeros((1, 3, 32, 32), dtype=np.float32))
+        with pytest.raises(ConfigurationError):
+            emb.patch_embed(img, 4, self.proj, self.pos)  # proj rows are 3 * 8 * 8
+        with pytest.raises(ConfigurationError):
+            emb.patch_embed(img, 8, self.proj, Tensor(np.zeros((64, 12), dtype=np.float32)))
 
     def test_unbatched_image_rejected(self):
         with pytest.raises(ShapeMismatchError):
-            emb.patch_embed(Tensor(np.zeros((3, 32, 32), dtype=np.float32)), self.cfg, self.proj, self.pos)
+            emb.patch_embed(Tensor(np.zeros((3, 32, 32), dtype=np.float32)), 8, self.proj, self.pos)
 
-    def test_desk_grid_arithmetic(self):
-        cfg = PatchConfig()
-        assert cfg.n_search == 64 and cfg.n_template == 16 and cfg.grid == 8
+    def test_desk_grid_arithmetic(self, vocab):
+        model = TrackerModel(Config(), vocab)
+        assert model.pos_search.shape == (64, 96) and model.pos_template.shape == (16, 96)
 
 
 class TestReduceLanguage:

@@ -8,6 +8,7 @@ from oracles import conv2d_oracle
 
 from vltrack import head as hd
 from vltrack import numcore as nc
+from vltrack.config import Config
 from vltrack.errors import ConfigurationError, ContractError
 from vltrack.head import BBox, CropMeta, HeadOutput
 from vltrack.numcore import Tensor
@@ -22,7 +23,7 @@ def make_output(score, offset, size):
 
 class TestHeadForward:
     def test_desk_shapes(self):
-        params = hd.init_head(dim=96, seed=0)
+        params = hd.init_head(dim=96, seed=0, channels=Config().head_channel_plan)
         rng = np.random.default_rng(0)
         sx = Tensor(rng.uniform(-1, 1, (64, 96)).astype(np.float32)[None])
         out = hd.head_forward(sx, params)

@@ -15,7 +15,7 @@ from vltrack.errors import ContractError, TrainingDiverged
 from vltrack.head import BBox
 from vltrack.model import TrackerModel
 from vltrack.numcore import Tensor
-from vltrack.pipeline import AdamW, LossWeights, MetricReport, compute_metrics, total_loss
+from vltrack.pipeline import AdamW, MetricReport, compute_metrics, total_loss
 from vltrack.synthdata import Scenario, generate, sample_pair
 
 
@@ -75,7 +75,7 @@ class TestSampleTrainingBatch:
 class TestTotalLoss:
     def test_all_zero_components(self):
         zero = Tensor(np.zeros(()))
-        total, breakdown = total_loss({"cls": zero, "giou": zero, "l1": zero, "cma": zero, "ima": zero}, LossWeights())
+        total, breakdown = total_loss({"cls": zero, "giou": zero, "l1": zero, "cma": zero, "ima": zero}, Config())
         assert total.item() == 0.0
         assert breakdown["total"] == 0.0
 
@@ -87,7 +87,7 @@ class TestTotalLoss:
             "cma": Tensor(np.array(1.0, dtype=np.float32)),
             "ima": Tensor(np.array(0.5, dtype=np.float32)),
         }
-        total, _ = total_loss(comps, LossWeights(giou=2.0, l1=5.0, cma=1.0, ima=1.0))
+        total, _ = total_loss(comps, Config(lambda_giou=2.0, lambda_l1=5.0, lambda_cma=1.0, lambda_ima=1.0))
         assert total.item() == pytest.approx(2.2, abs=1e-6)
 
     def test_zeroed_alignment_weights_reproduce_vision_only_objective(self):
@@ -98,13 +98,21 @@ class TestTotalLoss:
             "cma": Tensor(np.array(9.9, dtype=np.float32)),
             "ima": Tensor(np.array(9.9, dtype=np.float32)),
         }
-        total, _ = total_loss(comps, LossWeights(cma=0.0, ima=0.0))
+        total, _ = total_loss(comps, Config(lambda_cma=0.0, lambda_ima=0.0))
         assert total.item() == pytest.approx(0.3 + 2 * 0.2 + 5 * 0.1, abs=1e-6)
 
-    def test_ablation_flag_zeroes_weights(self):
-        cfg = Config().replace(ablate="no-mma")
-        w = LossWeights.from_config(cfg)
-        assert w.cma == 0.0 and w.ima == 0.0 and w.giou == 2.0
+    def test_ablation_flag_zeroes_weights(self, small_setup, small_cfg):
+        # an ablated run computes no contrastive term, so its total is the
+        # vision-only objective at the configured regression weights
+        _, _, model, batch = small_setup
+        for ablate in ("no-mma", "vision-only"):
+            cfg = small_cfg.replace(ablate=ablate)
+            comps = pl.compute_losses(model, batch, cfg)
+            assert set(comps) == {"cls", "giou", "l1"}
+            total, breakdown = total_loss(comps, cfg)
+            expect = comps["cls"].item() + 2.0 * comps["giou"].item() + 5.0 * comps["l1"].item()
+            assert total.item() == pytest.approx(expect, rel=1e-6)
+            assert breakdown["cma"] == 0.0 and breakdown["ima"] == 0.0
 
 
 class TestRegressionTargets:
@@ -213,7 +221,7 @@ class TestTrainStep:
         opt = AdamW(model.named_parameters(), lr=1e-4, weight_decay=0.0)
         first = pl.train_step(model, batch, opt, small_cfg, lr=1e-4)
         with_updated = pl.compute_losses(model, batch, small_cfg)
-        after_total, _ = pl.total_loss(with_updated, LossWeights.from_config(small_cfg))
+        after_total, _ = pl.total_loss(with_updated, small_cfg)
         assert after_total.item() < first["total"]
 
     def test_two_runs_same_seed_are_identical(self, small_setup, small_cfg):

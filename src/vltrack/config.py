@@ -73,8 +73,12 @@ class Config:
     def validate(self):
         if self.patch <= 0 or self.search_size % self.patch or self.template_size % self.patch:
             raise ConfigurationError("patch must divide search_size and template_size")
+        if self.search_size < 1 or self.template_size < 1:
+            raise ConfigurationError(f"crop sizes must be positive, got {self.search_size}/{self.template_size}")
         if self.layers < 0 or self.heads < 1:
             raise ConfigurationError(f"invalid layer/head counts {self.layers}/{self.heads}")
+        if self.dim < 1 or self.align_dim < 1:
+            raise ConfigurationError(f"dim and align_dim must be positive, got {self.dim}/{self.align_dim}")
         if self.dim % self.heads:
             raise ConfigurationError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.tau <= 0:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import Config
 from .errors import VLTrackError
-from .numcore import grad_check, named_stream
+from .numcore import Tape, grad_check, named_stream
 
 RECIPES_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))), "recipes")
 
@@ -91,7 +91,20 @@ def gradient_fidelity(cfg: Config | None = None, h=1e-6, tol=1e-3, coords_per_pa
     ReLU kinks and cosine curvature at scales around 1e-3, so the probe must
     sit well inside the smooth neighborhood of the evaluation point (the
     float64 noise floor is still three orders below the tolerance).
-    Returns a JSON-friendly report.
+
+    The six checks share their probe forwards. Every check perturbs the same
+    coordinates and reads one scalar off the same untaped ``compute_losses``
+    forward, which is a deterministic function of the parameters and the
+    fixed batch. So each distinct state of the checked parameters, keyed by
+    the exact bits of every entry that differs from its starting value, is
+    forwarded once and its loss components serve every check that reaches
+    it; the weighted total is summed from those components. A forward made
+    while a tape records always runs fresh, so each check still
+    differentiates its own tape. The report is bit-identical to six
+    unshared checks.
+
+    Returns a JSON-friendly report; each loss names its ``worst``
+    coordinate: parameter, flat index, analytic and numeric gradient.
     """
     from .model import TrackerModel
     from .pipeline import compute_losses, resolve_vocab, total_loss
@@ -103,20 +116,41 @@ def gradient_fidelity(cfg: Config | None = None, h=1e-6, tol=1e-3, coords_per_pa
     params = model.named_parameters()
     chosen = [name for name in GRADCHECK_PARAMS if name in params]
     inputs = [params[name] for name in chosen]
+    start = [t.data.reshape(-1).view(np.int64).copy() for t in inputs]
+    probes = {}  # perturbed state of the checked parameters -> its untaped loss components
+
+    def components():
+        if Tape.current is not None:
+            return compute_losses(model, batch, cfg)
+        state = []
+        for k, (t, bits0) in enumerate(zip(inputs, start)):
+            bits = t.data.reshape(-1).view(np.int64)
+            state.extend((k, int(i), int(bits[i])) for i in np.flatnonzero(bits != bits0))
+        key = tuple(state)
+        if key not in probes:
+            probes[key] = compute_losses(model, batch, cfg)
+        return probes[key]
 
     def loss_fn(name):
         if name == "total":
-            return lambda *_: total_loss(compute_losses(model, batch, cfg), cfg)[0]
-        return lambda *_: compute_losses(model, batch, cfg)[name]
+            return lambda *_: total_loss(components(), cfg)[0]
+        return lambda *_: components()[name]
 
     started = time.perf_counter()
     report = {"h": h, "tol": tol, "losses": {}, "params": chosen}
     for name in ("cls", "giou", "l1", "cma", "ima", "total"):
         result = grad_check(loss_fn(name), inputs, h=h, tol=tol, max_coords_per_input=coords_per_param)
+        worst = max(result.coords, key=lambda c: c.rel_err)
         report["losses"][name] = {
             "max_rel_err": result.max_rel_err,
             "passed": result.passed,
             "coords": len(result.coords),
+            "worst": {
+                "param": chosen[worst.input_index],
+                "index": worst.flat_index,
+                "analytic": worst.analytic,
+                "numeric": worst.numeric,
+            },
         }
     report["runtime_s"] = time.perf_counter() - started
     report["passed"] = all(entry["passed"] for entry in report["losses"].values())

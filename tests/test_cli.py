@@ -80,8 +80,23 @@ class TestConfig:
             {"heads": 0},
             {"layers": -1},
             {"search_size": 60},
+            {"dim": 0},
+            {"align_dim": 0},
+            {"search_size": 0},
+            {"template_size": 0},
         ],
-        ids=["tau", "denominator_mode", "dim-heads", "heads", "layers", "search_size-patch"],
+        ids=[
+            "tau",
+            "denominator_mode",
+            "dim-heads",
+            "heads",
+            "layers",
+            "search_size-patch",
+            "dim",
+            "align_dim",
+            "search_size",
+            "template_size",
+        ],
     )
     def test_model_description_rejected(self, values):
         # Config is the only validator of the model and loss fields
@@ -382,6 +397,16 @@ class TestCliGradCheck:
     def test_zero_heads_config_is_a_one_line_error(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("heads=0\n")
+        code = main(["grad-check", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ConfigurationError") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("line", ["dim=0", "align_dim=0", "search_size=0", "template_size=0"])
+    def test_zero_size_config_is_a_one_line_error(self, tmp_path, capsys, line):
+        # each of these once crashed with a traceback, at model build or at the forward
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
         code = main(["grad-check", "--config", str(path)])
         err = capsys.readouterr().err
         assert code == 2

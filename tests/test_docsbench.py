@@ -3,10 +3,15 @@
 import json
 import time
 
+import numpy as np
 import pytest
 
+import vltrack.docsbench
+import vltrack.pipeline
+from vltrack import numcore as nc
 from vltrack.config import Config
 from vltrack.docsbench import (
+    GRADCHECK_PARAMS,
     gradient_fidelity,
     load_recipes,
     micro_batch,
@@ -14,7 +19,11 @@ from vltrack.docsbench import (
     write_junit,
 )
 from vltrack.errors import VLTrackError
-from vltrack.pipeline import resolve_vocab
+from vltrack.model import TrackerModel
+from vltrack.pipeline import compute_losses, resolve_vocab, total_loss
+
+LOSSES = ("cls", "giou", "l1", "cma", "ima", "total")
+SMALL = Config().replace(dim=32, layers=1, heads=2, align_dim=16, head_channels="8,8,8")
 
 
 def run_temp_recipe(tmp_path, commands, checks=()):
@@ -110,6 +119,8 @@ class TestRecipes:
             ],
         )
         assert not result.passed and len(result.command_seconds) == 1
+        losses = json.loads((tmp_path / "w" / "g.json").read_text())["losses"]
+        assert all(entry["worst"]["param"] in GRADCHECK_PARAMS for entry in losses.values())
         failed = f"command failed with exit 1: {grad_check}"
         assert result.criteria[1].detail.startswith(failed)
         assert "passed = False" in result.criteria[1].detail
@@ -136,7 +147,93 @@ class TestGradientFidelityHarness:
         assert batch.boxes.shape == (2, 4)
 
     def test_small_model_fidelity(self):
-        cfg = Config().replace(dim=32, layers=1, heads=2, align_dim=16, head_channels="8,8,8")
-        report = gradient_fidelity(cfg)
-        assert set(report["losses"]) == {"cls", "giou", "l1", "cma", "ima", "total"}
+        report = gradient_fidelity(SMALL)
+        assert set(report["losses"]) == set(LOSSES)
         assert report["passed"], report
+
+    @staticmethod
+    def unshared_checks(cfg, check=nc.grad_check, h=1e-6, tol=1e-3, coords_per_param=3):
+        """Six grad_checks as gradient_fidelity sets them up, each loss on a
+        fresh compute_losses forward at every evaluation."""
+        cfg = cfg.replace(batch_size=2)
+        vocab = resolve_vocab(cfg)
+        model = TrackerModel(cfg, vocab).astype(np.float64)
+        batch = micro_batch(cfg, vocab, n=2)
+        params = model.named_parameters()
+        inputs = [params[name] for name in GRADCHECK_PARAMS if name in params]
+
+        def loss_fn(name):
+            if name == "total":
+                return lambda *_: total_loss(compute_losses(model, batch, cfg), cfg)[0]
+            return lambda *_: compute_losses(model, batch, cfg)[name]
+
+        return {
+            name: check(loss_fn(name), inputs, h=h, tol=tol, max_coords_per_input=coords_per_param) for name in LOSSES
+        }
+
+    @staticmethod
+    def count_forwards(monkeypatch):
+        """Record, per compute_losses call, whether a tape was recording."""
+        taped = []
+        real = vltrack.pipeline.compute_losses
+
+        def counted(*args):
+            taped.append(nc.Tape.current is not None)
+            return real(*args)
+
+        monkeypatch.setattr(vltrack.pipeline, "compute_losses", counted)
+        return taped
+
+    @staticmethod
+    def assert_same_reports(report, reference):
+        for name in LOSSES:
+            entry, ref = report["losses"][name], reference[name]
+            assert (entry["max_rel_err"], entry["coords"], entry["passed"]) == (
+                ref.max_rel_err,
+                len(ref.coords),
+                ref.passed,
+            ), name
+            worst = max(ref.coords, key=lambda c: c.rel_err)
+            assert (entry["worst"]["index"], entry["worst"]["numeric"]) == (worst.flat_index, worst.numeric), name
+
+    def test_checks_share_probe_forwards_exactly(self, monkeypatch):
+        # every check probes the same coordinates: one taped forward per check,
+        # and one untaped forward per probe of the first check only
+        reference = self.unshared_checks(SMALL)
+        taped = self.count_forwards(monkeypatch)
+        report = gradient_fidelity(SMALL)
+        coords = report["losses"]["cls"]["coords"]
+        assert taped.count(True) == 6 and taped.count(False) == 2 * coords
+        self.assert_same_reports(report, reference)
+
+    def test_shared_forwards_follow_the_state_not_the_call_order(self, monkeypatch):
+        # Each check after the first starts from a state the first one probed:
+        # the smallest input's entry 0 moved by +h. Its taped forward must not be
+        # served from that probe, and its probes, all at new states, must not be
+        # served the first check's probes in call order.
+        def from_probed_state(check):
+            seen = []
+
+            def shifted(f, inputs, h, max_coords_per_input, **kwargs):
+                seen.append(f)
+                smallest = min(inputs, key=lambda t: t.size)
+                assert smallest.size <= max_coords_per_input  # so the first check probes all of it
+                flat = smallest.data.reshape(-1)
+                keep = flat[0]
+                if len(seen) > 1:
+                    flat[0] = keep + h
+                try:
+                    return check(f, inputs, h=h, max_coords_per_input=max_coords_per_input, **kwargs)
+                finally:
+                    flat[0] = keep
+
+            return shifted
+
+        reference = self.unshared_checks(SMALL, check=from_probed_state(nc.grad_check))
+        monkeypatch.setattr(vltrack.docsbench, "grad_check", from_probed_state(nc.grad_check))
+        taped = self.count_forwards(monkeypatch)
+        report = gradient_fidelity(SMALL)
+        coords = report["losses"]["cls"]["coords"]
+        # the first check probes its states, the second new ones, the rest reuse the second's
+        assert taped.count(True) == 6 and taped.count(False) == 4 * coords
+        self.assert_same_reports(report, reference)

@@ -158,15 +158,12 @@ def cmd_grad_check(args) -> int:
     cfg = _apply_overrides(_base_config(args), args, {"seed": "seed"})
     report = gradient_fidelity(cfg, h=args.h, tol=args.tol)
     for name, entry in report["losses"].items():
-        line = f"{name}: max rel err {entry['max_rel_err']:.3e} ({entry['coords']} coords)"
-        if entry["passed"]:
-            print(f"PASS {line}")
-        else:
-            worst = entry["worst"]
-            print(
-                f"FAIL {line}; worst at {worst['param']}[{worst['index']}]: "
-                f"analytic {worst['analytic']:.6e}, numeric {worst['numeric']:.6e}"
-            )
+        status = "PASS" if entry["passed"] else "FAIL"
+        line = f"{status} {name}: max rel err {entry['max_rel_err']:.3e} ({entry['coords']} coords)"
+        if not entry["passed"]:
+            w = entry["worst"]
+            line += f"; worst at {w['param']}[{w['index']}]: analytic {w['analytic']:.6e}, numeric {w['numeric']:.6e}"
+        print(line)
     print(f"runtime {report['runtime_s']:.1f}s")
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:

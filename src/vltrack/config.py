@@ -71,10 +71,9 @@ class Config:
         self.validate()
 
     def validate(self):
-        if self.patch <= 0 or self.search_size % self.patch or self.template_size % self.patch:
-            raise ConfigurationError("patch must divide search_size and template_size")
-        if self.search_size < 1 or self.template_size < 1:
-            raise ConfigurationError(f"crop sizes must be positive, got {self.search_size}/{self.template_size}")
+        sizes = (self.patch, self.search_size, self.template_size)
+        if min(sizes) <= 0 or self.search_size % self.patch or self.template_size % self.patch:
+            raise ConfigurationError("search_size and template_size must be positive multiples of a positive patch")
         if self.layers < 0 or self.heads < 1:
             raise ConfigurationError(f"invalid layer/head counts {self.layers}/{self.heads}")
         if self.dim < 1 or self.align_dim < 1:

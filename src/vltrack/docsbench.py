@@ -92,16 +92,13 @@ def gradient_fidelity(cfg: Config | None = None, h=1e-6, tol=1e-3, coords_per_pa
     sit well inside the smooth neighborhood of the evaluation point (the
     float64 noise floor is still three orders below the tolerance).
 
-    The six checks share their probe forwards. Every check perturbs the same
-    coordinates and reads one scalar off the same untaped ``compute_losses``
-    forward, which is a deterministic function of the parameters and the
-    fixed batch. So each distinct state of the checked parameters, keyed by
-    the exact bits of every entry that differs from its starting value, is
-    forwarded once and its loss components serve every check that reaches
-    it; the weighted total is summed from those components. A forward made
-    while a tape records always runs fresh, so each check still
-    differentiates its own tape. The report is bit-identical to six
-    unshared checks.
+    The six checks share their probe forwards, and the report stays
+    bit-identical to six unshared checks: ``compute_losses`` is a
+    deterministic function of the parameters and the fixed batch, so each
+    state of the checked parameters, keyed by the exact bits of every entry
+    that differs from its start, is forwarded once and every check reads its
+    loss (or sums the total) from those components. A forward made while a
+    tape records always runs fresh, so each check differentiates its own.
 
     Returns a JSON-friendly report; each loss names its ``worst``
     coordinate: parameter, flat index, analytic and numeric gradient.

@@ -104,7 +104,7 @@ class TestRecipes:
         assert not result.criteria[2].passed
         assert f"{result.command_seconds[1]:.4g}" in result.criteria[2].detail
 
-    def test_failed_command_still_evaluates_every_check(self, tmp_path):
+    def test_failed_command_still_evaluates_every_check(self, tmp_path, capsys):
         # grad-check exits 1 on a failing loss but still writes its report
         small = tmp_path / "small.cfg"
         small.write_text("dim=16\nlayers=1\nheads=2\nalign_dim=8\nhead_channels=4,4,4\n")
@@ -119,8 +119,15 @@ class TestRecipes:
             ],
         )
         assert not result.passed and len(result.command_seconds) == 1
+        # each failing loss names where its worst coordinate is, in the report and on its FAIL line
         losses = json.loads((tmp_path / "w" / "g.json").read_text())["losses"]
-        assert all(entry["worst"]["param"] in GRADCHECK_PARAMS for entry in losses.values())
+        printed = capsys.readouterr().out
+        assert not all(entry["passed"] for entry in losses.values())
+        for name, entry in losses.items():
+            worst = entry["worst"]
+            assert worst["param"] in GRADCHECK_PARAMS
+            if not entry["passed"]:
+                assert f"FAIL {name}: " in printed and f"worst at {worst['param']}[{worst['index']}]" in printed
         failed = f"command failed with exit 1: {grad_check}"
         assert result.criteria[1].detail.startswith(failed)
         assert "passed = False" in result.criteria[1].detail
@@ -152,7 +159,7 @@ class TestGradientFidelityHarness:
         assert report["passed"], report
 
     @staticmethod
-    def unshared_checks(cfg, check=nc.grad_check, h=1e-6, tol=1e-3, coords_per_param=3):
+    def unshared_checks(cfg, check=nc.grad_check):
         """Six grad_checks as gradient_fidelity sets them up, each loss on a
         fresh compute_losses forward at every evaluation."""
         cfg = cfg.replace(batch_size=2)
@@ -167,9 +174,7 @@ class TestGradientFidelityHarness:
                 return lambda *_: total_loss(compute_losses(model, batch, cfg), cfg)[0]
             return lambda *_: compute_losses(model, batch, cfg)[name]
 
-        return {
-            name: check(loss_fn(name), inputs, h=h, tol=tol, max_coords_per_input=coords_per_param) for name in LOSSES
-        }
+        return {name: check(loss_fn(name), inputs, h=1e-6, tol=1e-3, max_coords_per_input=3) for name in LOSSES}
 
     @staticmethod
     def count_forwards(monkeypatch):

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from .config import Config, load_config
 from .errors import VLTrackError
@@ -105,7 +106,7 @@ def _load_model(ckpt_path, cfg_overrides=None):
 
 
 def cmd_eval(args) -> int:
-    from .pipeline import evaluate
+    from .pipeline import evaluate, sequence_workers, tracking_line
 
     def overrides(cfg: Config) -> Config:
         updates = {}
@@ -126,7 +127,11 @@ def cmd_eval(args) -> int:
             print("error: CheckpointError: --ckpt is required unless --oracle-gt", file=sys.stderr)
             return 2
         model, cfg = _load_model(args.ckpt, overrides)
-    summary, _ = evaluate(model, args.data, cfg, out_dir=args.out, oracle_gt=args.oracle_gt)
+    started = time.perf_counter()
+    summary, reports = evaluate(model, args.data, cfg, out_dir=args.out, oracle_gt=args.oracle_gt)
+    if not args.oracle_gt:
+        frames = sum(r.n_frames - 1 for r in reports.values())
+        print(tracking_line(frames, time.perf_counter() - started, sequence_workers(len(reports))))
     print(json.dumps(summary, sort_keys=True))
     return 0
 

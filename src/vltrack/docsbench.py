@@ -137,7 +137,7 @@ def gradient_fidelity(cfg: Config | None = None, h=1e-6, tol=1e-3, coords_per_pa
     report = {"h": h, "tol": tol, "losses": {}, "params": chosen}
     for name in ("cls", "giou", "l1", "cma", "ima", "total"):
         result = grad_check(loss_fn(name), inputs, h=h, tol=tol, max_coords_per_input=coords_per_param)
-        worst = max(result.coords, key=lambda c: c.rel_err)
+        worst = result.worst
         report["losses"][name] = {
             "max_rel_err": result.max_rel_err,
             "passed": result.passed,
@@ -210,7 +210,8 @@ def twin_eval_command(argv) -> int:
 
     from .checkpoint import load_checkpoint
     from .model import TrackerModel
-    from .pipeline import resolve_vocab, twin_disambiguation
+    from .pipeline import resolve_vocab, sequence_workers, tracking_line, twin_disambiguation
+    from .synthdata import list_sequences
 
     parser = argparse.ArgumentParser(prog="twin-eval")
     parser.add_argument("--data", required=True)
@@ -225,14 +226,19 @@ def twin_eval_command(argv) -> int:
         model.load_state(state.params)
         return twin_disambiguation(model, args.data, state.config)
 
+    started = time.perf_counter()
     payload = {"vl": rates(args.ckpt)}
     if args.ablation:
         payload["ablation"] = rates(args.ablation)
+    seconds = time.perf_counter() - started
     with open(args.out, "w", encoding="ascii") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
     for name, entry in payload.items():
         print(f"{name}: correct {entry['correct_rate']:.3f} flip {entry['flip_rate']:.3f} over {entry['frames']} frames")
+    # every frame is tracked twice, under the true and the swapped prompt
+    frames = sum(2 * entry["frames"] for entry in payload.values())
+    print(tracking_line(frames, seconds, sequence_workers(len(list_sequences(args.data)))))
     return 0
 
 

@@ -7,6 +7,7 @@ against a central difference (f(x+h) - f(x-h)) / 2h.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,11 @@ class GradCheckReport:
     passed: bool
     coords: list[CoordResult] = field(default_factory=list)
 
+    @property
+    def worst(self) -> CoordResult | None:
+        """The coordinate with the largest relative error; None without coordinates."""
+        return _worst(self.coords)
+
     def __str__(self):
         verdict = "PASS" if self.passed else "FAIL"
         return (
@@ -43,7 +49,9 @@ class GradCheckReport:
 
 
 def _worst(coords):
-    return max((c.rel_err for c in coords), default=0.0)
+    # A NaN error ranks above every number: a non-finite analytic or numeric
+    # gradient gives one, and a plain max would pass over it.
+    return max(coords, key=lambda c: (math.isnan(c.rel_err), c.rel_err), default=None)
 
 
 def grad_check(f, inputs, h=1e-3, tol=1e-3, max_coords_per_input=16, seed=0, atol=1e-6):
@@ -59,7 +67,9 @@ def grad_check(f, inputs, h=1e-3, tol=1e-3, max_coords_per_input=16, seed=0, ato
     The relative error of a coordinate is |a - n| / max(|a|, |n|, atol/tol),
     so a coordinate passes iff |a - n| <= max(tol*|a|, tol*|n|, atol): the
     usual relative/absolute pair, with ``atol`` absorbing finite-difference
-    quantization noise on vanishing gradients.
+    quantization noise on vanishing gradients. A coordinate whose analytic
+    or numeric gradient is not finite has a NaN error, fails the check and is
+    its ``worst``.
     """
     inputs64 = [
         t if t.dtype == np.float64 and t.requires_grad else Tensor(t.data, requires_grad=True, dtype=np.float64)
@@ -97,4 +107,5 @@ def grad_check(f, inputs, h=1e-3, tol=1e-3, max_coords_per_input=16, seed=0, ato
             coords.append(CoordResult(k, int(idx), a, n, rel))
 
     worst = _worst(coords)
-    return GradCheckReport(max_rel_err=worst, tol=tol, h=h, passed=worst <= tol, coords=coords)
+    max_rel_err = worst.rel_err if worst is not None else 0.0
+    return GradCheckReport(max_rel_err=max_rel_err, tol=tol, h=h, passed=max_rel_err <= tol, coords=coords)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -344,12 +345,16 @@ class TestCliEval:
         assert (out / "success_curve.csv").is_file()
         assert (out / "precision_curve.csv").is_file()
 
-    def test_eval_trained_checkpoint(self, trained_run, tmp_path):
+    def test_eval_trained_checkpoint(self, trained_run, tmp_path, capsys):
         out = tmp_path / "report"
         code = main(["eval", "--data", str(trained_run["data"] / "eval"), "--ckpt", str(trained_run["ckpt"]), "--out", str(out)])
         assert code == 0
         payload = json.loads((out / "report.json").read_text())
         assert set(payload["summary"]) == {"P", "P_norm", "AUC", "cAUC", "ACC"}
+        # one timing line on the console, none in the report; the summary stays the last line
+        timing, summary = capsys.readouterr().out.strip().splitlines()
+        assert re.fullmatch(r"tracked 5 frames in \d+\.\d s \(\d+ fps, 1 worker\)", timing), timing
+        assert json.loads(summary) == payload["summary"]
 
     def test_missing_checkpoint_exits_2(self, trained_run, tmp_path, capsys):
         code = main(["eval", "--data", str(trained_run["data"] / "eval"), "--ckpt", str(tmp_path / "none.aio"), "--out", str(tmp_path / "r")])
@@ -385,6 +390,13 @@ class TestCliTrack:
         main(["track", "--ckpt", str(trained_run["ckpt"]), "--seq", str(seq), "--out", str(out), "--init-box", "10,12,20,24"])
         first = [float(v) for v in out.read_text().splitlines()[0].split(",")]
         assert first == pytest.approx([10.0, 12.0, 20.0, 24.0], abs=1e-3)
+
+    def test_zero_size_init_box_is_a_one_line_error(self, trained_run, tmp_path, capsys):
+        seq = trained_run["data"] / "eval" / "seq_000"
+        code = main(["track", "--ckpt", str(trained_run["ckpt"]), "--seq", str(seq), "--out", str(tmp_path / "p.txt"), "--init-box", "0,0,0,0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ContractError: sequence seq_000:") and "\n" not in err.strip()
 
     def test_prompt_override_accepted(self, trained_run, tmp_path):
         seq = trained_run["data"] / "eval" / "seq_000"

@@ -1,6 +1,9 @@
 """Recipe loading, coverage of the acceptance criteria, and the runner."""
 
+import dataclasses
 import json
+import math
+import re
 import time
 
 import numpy as np
@@ -16,6 +19,7 @@ from vltrack.docsbench import (
     load_recipes,
     micro_batch,
     run_recipe,
+    twin_eval_command,
     write_junit,
 )
 from vltrack.errors import VLTrackError
@@ -145,6 +149,27 @@ class TestRecipes:
         assert "&lt;" in text  # detail is escaped
 
 
+class TestTwinEval:
+    def test_rates_go_to_the_file_and_the_timing_line_to_the_console(self, tmp_path, capsys):
+        from vltrack.cli import main
+
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("dim=32\nlayers=1\nheads=2\nalign_dim=16\nhead_channels=8,8,8\n")
+        data, run, out = tmp_path / "data", tmp_path / "run", tmp_path / "twin.json"
+        main(["generate", "--out", str(data), "--frames", "6", "--train-count", "2", "--eval-count", "0",
+              "--twin-suite", "--twin-count", "2", "--seed", "1"])
+        main(["train", "--config", str(cfg), "--data", str(data / "train"), "--out", str(run), "--iters", "0", "--quiet"])
+        capsys.readouterr()
+        assert twin_eval_command(["--data", str(data / "twin"), "--ckpt", str(run / "checkpoint.aio"), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert list(payload) == ["vl"] and set(payload["vl"]) == {"correct_rate", "flip_rate", "frames"}
+        assert payload["vl"]["frames"] == 10
+        rates, timing = capsys.readouterr().out.strip().splitlines()
+        assert rates.startswith("vl: correct ")
+        # two sequences of 5 tracked frames, each tracked under both prompts
+        assert re.fullmatch(r"tracked 20 frames in \d+\.\d s \(\d+ fps, (1 worker|2 workers)\)", timing), timing
+
+
 class TestGradientFidelityHarness:
     def test_micro_batch_shapes(self):
         cfg = Config().replace(batch_size=2)
@@ -157,6 +182,20 @@ class TestGradientFidelityHarness:
         report = gradient_fidelity(SMALL)
         assert set(report["losses"]) == set(LOSSES)
         assert report["passed"], report
+
+    def test_nan_coordinate_fails_its_loss_and_is_named_worst(self, monkeypatch):
+        def nan_at_second_coordinate(*args, **kwargs):
+            report = nc.grad_check(*args, **kwargs)
+            coord = report.coords[1]
+            report.coords[1] = dataclasses.replace(coord, numeric=math.nan, rel_err=math.nan)
+            return dataclasses.replace(report, max_rel_err=math.nan, passed=False)
+
+        monkeypatch.setattr(vltrack.docsbench, "grad_check", nan_at_second_coordinate)
+        report = gradient_fidelity(SMALL, coords_per_param=1)
+        for name in LOSSES:
+            entry = report["losses"][name]
+            assert not entry["passed"] and math.isnan(entry["worst"]["numeric"]), name
+        assert not report["passed"]
 
     @staticmethod
     def unshared_checks(cfg, check=nc.grad_check):

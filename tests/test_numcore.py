@@ -157,6 +157,17 @@ class TestGradCheck:
         with pytest.raises(ContractError):
             nc.grad_check(lambda x: x * 2.0, [Tensor([1.0, 2.0])])
 
+    def test_non_finite_coordinate_fails_and_is_the_worst(self):
+        # d sqrt(x)/dx is inf at 0 and the central difference reads sqrt(-h):
+        # coordinate 1 has a NaN error between two that pass
+        x = Tensor(np.array([1.0, 0.0, 4.0]), dtype=np.float64, requires_grad=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            report = nc.grad_check(lambda t: nc.tensor_sum(nc.sqrt(t)), [x])
+        assert not report.passed
+        assert math.isnan(report.max_rel_err)
+        assert report.worst.flat_index == 1 and report.worst.analytic == math.inf
+        assert math.isnan(report.worst.numeric)
+
 
 def _check(f, tensors, tol=1e-3):
     report = nc.grad_check(f, tensors, h=1e-3, tol=tol, max_coords_per_input=12)

@@ -2,19 +2,22 @@
 
 import dataclasses
 import math
+import multiprocessing
 import os
+import shutil
 
 import numpy as np
 import pytest
 from oracles import center_error_oracle, iou_oracle
 
+from vltrack import numcore as nc
 from vltrack import pipeline as pl
 from vltrack import synthdata as sd
 from vltrack.config import Config
 from vltrack.errors import ContractError, TrainingDiverged
 from vltrack.head import BBox
 from vltrack.model import TrackerModel
-from vltrack.numcore import Tensor
+from vltrack.numcore import Tensor, blas
 from vltrack.pipeline import AdamW, MetricReport, compute_metrics, total_loss
 from vltrack.synthdata import Scenario, generate, sample_pair
 
@@ -296,6 +299,12 @@ class TestTrackSequence:
         preds = pl.track_sequence(model, records[0], small_cfg, prompt_override="blue square moving up")
         assert len(preds) == len(records[0])
 
+    @pytest.mark.parametrize("box", [BBox(0.0, 0.0, 0.0, 0.0), BBox(40.0, 40.0, 10.0, -1.0)])
+    def test_first_box_without_area_is_a_contract_error(self, small_setup, small_cfg, box):
+        records, _, model, _ = small_setup
+        with pytest.raises(ContractError, match=f"sequence {records[0].seq_id}: the first box has no area"):
+            pl.track_sequence(model, records[0], small_cfg, init_box=box)
+
 
 def make_track(boxes):
     return [BBox(*b, "image") for b in boxes]
@@ -439,3 +448,82 @@ class TestTrainLoop:
 
         for name in ("checkpoint.aio", "loss_log.csv"):
             assert (run_b / name).read_bytes() == (run_a / name).read_bytes(), name
+
+
+fans_out = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods() or nc.blas_thread_calls() is None,
+    reason="needs the fork start method and numpy's OpenBLAS thread calls",
+)
+
+
+class TestMapSequences:
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        def force(n):
+            monkeypatch.setattr(pl, "usable_cpus", lambda: n)
+
+        return force
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        assert multiprocessing.active_children() == []
+
+    @fans_out
+    def test_workers_return_results_in_order_at_one_blas_thread(self, cpus):
+        cpus(2)
+        assert pl.sequence_workers(5) == 2
+        _, get_threads = nc.blas_thread_calls()
+        results = pl.map_sequences(lambda i: (i, os.getpid(), get_threads()), list(range(5)))
+        assert [r[0] for r in results] == list(range(5))
+        assert all(pid != os.getpid() for _, pid, _ in results)
+        assert {threads for _, _, threads in results} == {1}
+
+    def test_one_usable_cpu_runs_in_process(self, cpus):
+        cpus(1)
+        assert pl.sequence_workers(3) == 1
+        assert pl.map_sequences(lambda _: os.getpid(), [0, 1, 2]) == [os.getpid()] * 3
+
+    def test_unresolvable_blas_thread_call_runs_in_process(self, cpus, monkeypatch):
+        cpus(2)
+        monkeypatch.setattr(blas, "THREAD_CALLS", (("no_such_set_threads", "no_such_get_threads"),))
+        assert nc.blas_thread_calls() is None
+        assert pl.sequence_workers(3) == 1
+        assert pl.map_sequences(lambda _: os.getpid(), [0, 1, 2]) == [os.getpid()] * 3
+
+    @fans_out
+    def test_worker_error_arrives_with_its_type_and_message(self, cpus):
+        cpus(2)
+
+        def fail_on_three(i):
+            if i == 3:
+                raise ContractError(f"item {i} is bad")
+            return i
+
+        with pytest.raises(ContractError, match="item 3 is bad"):
+            pl.map_sequences(fail_on_three, list(range(6)))
+
+    @fans_out
+    def test_reports_and_twin_rates_match_the_in_process_path(self, tiny_dataset, small_setup, small_cfg, tmp_path, cpus):
+        _, _, model, _ = small_setup
+        runs = {}
+        for n in (1, 2):
+            cpus(n)
+            assert pl.sequence_workers(2) == n
+            pl.evaluate(model, tiny_dataset, small_cfg, out_dir=tmp_path / str(n))
+            files = {p.name: p.read_bytes() for p in (tmp_path / str(n)).iterdir()}
+            runs[n] = (files, pl.twin_disambiguation(model, tiny_dataset, small_cfg))
+        assert "report.json" in runs[1][0]
+        assert runs[2] == runs[1]
+
+    @fans_out
+    def test_zero_size_first_box_in_a_dataset_stops_evaluate(self, tiny_dataset, small_setup, small_cfg, tmp_path, cpus):
+        _, _, model, _ = small_setup
+        data = tmp_path / "data"
+        shutil.copytree(tiny_dataset, data)
+        gt = data / "seq_001" / "groundtruth.txt"
+        lines = gt.read_text().splitlines()
+        gt.write_text("\n".join(["0,0,0,0"] + lines[1:]) + "\n")
+        cpus(2)
+        with pytest.raises(ContractError, match="sequence seq_001: the first box has no area"):
+            pl.evaluate(model, data, small_cfg)

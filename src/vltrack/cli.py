@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-import time
 
 from .config import Config, load_config
 from .errors import VLTrackError
@@ -106,7 +105,7 @@ def _load_model(ckpt_path, cfg_overrides=None):
 
 
 def cmd_eval(args) -> int:
-    from .pipeline import evaluate, sequence_workers, tracking_line
+    from .pipeline import FanOutLog, evaluate
 
     def overrides(cfg: Config) -> Config:
         updates = {}
@@ -127,11 +126,10 @@ def cmd_eval(args) -> int:
             print("error: CheckpointError: --ckpt is required unless --oracle-gt", file=sys.stderr)
             return 2
         model, cfg = _load_model(args.ckpt, overrides)
-    started = time.perf_counter()
-    summary, reports = evaluate(model, args.data, cfg, out_dir=args.out, oracle_gt=args.oracle_gt)
+    log = FanOutLog()
+    summary, reports = evaluate(model, args.data, cfg, out_dir=args.out, oracle_gt=args.oracle_gt, log=log)
     if not args.oracle_gt:
-        frames = sum(r.n_frames - 1 for r in reports.values())
-        print(tracking_line(frames, time.perf_counter() - started, sequence_workers(len(reports))))
+        print(log.line(sum(r.n_frames - 1 for r in reports.values())))
     print(json.dumps(summary, sort_keys=True))
     return 0
 

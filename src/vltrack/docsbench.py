@@ -210,8 +210,7 @@ def twin_eval_command(argv) -> int:
 
     from .checkpoint import load_checkpoint
     from .model import TrackerModel
-    from .pipeline import resolve_vocab, sequence_workers, tracking_line, twin_disambiguation
-    from .synthdata import list_sequences
+    from .pipeline import FanOutLog, resolve_vocab, twin_disambiguation
 
     parser = argparse.ArgumentParser(prog="twin-eval")
     parser.add_argument("--data", required=True)
@@ -219,26 +218,24 @@ def twin_eval_command(argv) -> int:
     parser.add_argument("--ablation")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
+    log = FanOutLog()
 
     def rates(ckpt_path):
         state = load_checkpoint(ckpt_path)
         model = TrackerModel(state.config, resolve_vocab(state.config))
         model.load_state(state.params)
-        return twin_disambiguation(model, args.data, state.config)
+        return twin_disambiguation(model, args.data, state.config, log)
 
-    started = time.perf_counter()
     payload = {"vl": rates(args.ckpt)}
     if args.ablation:
         payload["ablation"] = rates(args.ablation)
-    seconds = time.perf_counter() - started
     with open(args.out, "w", encoding="ascii") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
     for name, entry in payload.items():
         print(f"{name}: correct {entry['correct_rate']:.3f} flip {entry['flip_rate']:.3f} over {entry['frames']} frames")
     # every frame is tracked twice, under the true and the swapped prompt
-    frames = sum(2 * entry["frames"] for entry in payload.values())
-    print(tracking_line(frames, seconds, sequence_workers(len(list_sequences(args.data)))))
+    print(log.line(sum(2 * entry["frames"] for entry in payload.values())))
     return 0
 
 

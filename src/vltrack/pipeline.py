@@ -16,6 +16,7 @@ import math
 import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -456,20 +457,26 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+_worker_job = None  # (fn, items) inside a worker process of map_sequences
+
+
 def sequence_workers(n: int) -> int:
     """How many processes ``map_sequences`` runs ``n`` items in.
 
     One per usable CPU, at most one per item. A single process where the
     ``fork`` start method is missing or numpy's BLAS thread count cannot be
     set: on a 2-CPU host, two workers left at the default BLAS thread count
-    ran at 0.26x the speed of one process.
+    ran at 0.26x the speed of one process. Also a single process inside a
+    worker, whose CPUs the outer call already counted, and while the model's
+    forward is wrapped in place (``__wrapped__`` set, as ``functools.wraps``
+    and span tracers do): such a wrapper records into this process, and the
+    calls a worker makes would never reach it.
     """
+    if _worker_job is not None or hasattr(TrackerModel.forward, "__wrapped__"):
+        return 1
     if "fork" not in multiprocessing.get_all_start_methods() or nc.blas_thread_calls() is None:
         return 1
     return max(1, min(n, usable_cpus()))
-
-
-_worker_job = None  # (fn, items) inside a worker process of map_sequences
 
 
 def _start_worker(fn, items):
@@ -484,7 +491,21 @@ def _run_item(i):
     return fn(items[i])
 
 
-def map_sequences(fn, items) -> list:
+@dataclass
+class FanOutLog:
+    """Wall seconds and the most workers over the ``map_sequences`` calls it is passed to."""
+
+    seconds: float = 0.0
+    workers: int = 0
+
+    def line(self, frames: int) -> str:
+        """The console line a tracking command prints after its run."""
+        plural = "s" if self.workers != 1 else ""
+        rate = f"{frames / max(self.seconds, 1e-9):.0f} fps, {self.workers} worker{plural}"
+        return f"tracked {frames} frames in {self.seconds:.1f} s ({rate})"
+
+
+def map_sequences(fn, items, log: FanOutLog | None = None) -> list:
     """``[fn(item) for item in items]``, spread over ``sequence_workers`` processes.
 
     Each item is an independent job, such as tracking one sequence, and the
@@ -494,27 +515,26 @@ def map_sequences(fn, items) -> list:
     pickled back. Spawned workers would pay 0.3-0.6 s per call to start
     interpreters and import numpy. Each worker runs BLAS at one thread; the
     calling process keeps its own count. An exception in a worker is raised
-    here, with its type and message, after every worker has exited.
+    here with its type and message, and a worker that dies raises
+    ``BrokenProcessPool``; either way every worker has exited. ``log``, if
+    given, gains this call's wall time and worker count.
     """
+    started = time.perf_counter()
     workers = sequence_workers(len(items))
     if workers == 1:
-        return [fn(item) for item in items]
-    pool = multiprocessing.get_context("fork").Pool(workers, initializer=_start_worker, initargs=(fn, items))
-    try:
-        results = list(pool.imap(_run_item, range(len(items)), chunksize=1))
-        pool.close()
-    except BaseException:
-        pool.terminate()
-        raise
-    finally:
-        pool.join()
+        results = [fn(item) for item in items]
+    else:
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=context, initializer=_start_worker, initargs=(fn, items)) as pool:
+            try:
+                results = list(pool.map(_run_item, range(len(items))))
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+    if log is not None:
+        log.seconds += time.perf_counter() - started
+        log.workers = max(log.workers, workers)
     return results
-
-
-def tracking_line(frames: int, seconds: float, workers: int) -> str:
-    """The console line a tracking command prints after its run."""
-    plural = "s" if workers != 1 else ""
-    return f"tracked {frames} frames in {seconds:.1f} s ({frames / seconds:.0f} fps, {workers} worker{plural})"
 
 
 # ---------------------------------------------------------------------------
@@ -635,19 +655,21 @@ def average_curves(reports: dict, curve: str):
 # ---------------------------------------------------------------------------
 
 
-def evaluate(model: TrackerModel, dataset_dir, cfg: Config, out_dir=None, oracle_gt=False):
+def evaluate(
+    model: TrackerModel, dataset_dir, cfg: Config, out_dir=None, oracle_gt=False, log: FanOutLog | None = None
+):
     """Track every sequence, score it, and (optionally) write the reports.
 
     Sequences are tracked through ``map_sequences``; scoring and the reports
-    stay in this process. ``oracle_gt`` replaces the tracker output with the
-    ground truth, a sanity path that must score 1.0 everywhere. Returns
-    (summary, per-sequence reports).
+    stay in this process; ``log`` is passed on to it. ``oracle_gt`` replaces
+    the tracker output with the ground truth, a sanity path that must score
+    1.0 everywhere. Returns (summary, per-sequence reports).
     """
     records = load_dataset(dataset_dir)
     if oracle_gt:
         tracks = [list(record.boxes) for record in records]
     else:
-        tracks = map_sequences(lambda record: track_sequence(model, record, cfg), records)
+        tracks = map_sequences(lambda record: track_sequence(model, record, cfg), records, log)
     reports = {record.seq_id: compute_metrics(preds, record.boxes) for record, preds in zip(records, tracks)}
     summary = aggregate_reports(reports)
     if out_dir is not None:
@@ -708,13 +730,13 @@ def twin_follow_counts(model: TrackerModel, record: SequenceRecord, cfg: Config,
     return follows_target, follows_twin, total
 
 
-def twin_disambiguation(model: TrackerModel, dataset_dir, cfg: Config) -> dict:
+def twin_disambiguation(model: TrackerModel, dataset_dir, cfg: Config, log: FanOutLog | None = None) -> dict:
     """Aggregate follow rates over a twin-distractor suite.
 
     correct_rate: fraction of frames on the prompt-designated twin under the
     true prompt. flip_rate: fraction on the other twin once the prompt color
     is swapped (same first-frame box). Each sequence's two runs are one
-    ``map_sequences`` item.
+    ``map_sequences`` item; ``log`` is passed on to it.
     """
     records = load_dataset(dataset_dir)
     for record in records:
@@ -726,7 +748,7 @@ def twin_disambiguation(model: TrackerModel, dataset_dir, cfg: Config) -> dict:
         _, on_twin, _ = twin_follow_counts(model, record, cfg, swap_prompt_color(record))
         return on_target, on_twin, n
 
-    per_record = map_sequences(counts, records)
+    per_record = map_sequences(counts, records, log)
     correct = sum(c[0] for c in per_record)
     flip = sum(c[1] for c in per_record)
     total = sum(c[2] for c in per_record)

@@ -1,10 +1,13 @@
 """Loss assembly, optimizer, training loop behavior, tracking, and metrics."""
 
 import dataclasses
+import functools
 import math
 import multiprocessing
 import os
+import re
 import shutil
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -502,6 +505,46 @@ class TestMapSequences:
 
         with pytest.raises(ContractError, match="item 3 is bad"):
             pl.map_sequences(fail_on_three, list(range(6)))
+
+    @fans_out
+    def test_a_dead_worker_raises_instead_of_hanging(self, cpus):
+        cpus(2)
+
+        def die_on_three(i):
+            if i == 3:
+                os._exit(1)
+            return i
+
+        with pytest.raises(BrokenProcessPool):
+            pl.map_sequences(die_on_three, list(range(6)))
+
+    @fans_out
+    def test_a_call_inside_a_worker_runs_in_that_worker(self, cpus):
+        cpus(2)
+        results = pl.map_sequences(lambda _: (os.getpid(), pl.map_sequences(lambda _: os.getpid(), [0, 1])), [0, 1])
+        assert all(inner == [pid, pid] and pid != os.getpid() for pid, inner in results)
+
+    @fans_out
+    def test_a_wrapped_forward_keeps_tracking_in_process(self, cpus, monkeypatch):
+        cpus(2)
+        forward = TrackerModel.forward
+
+        @functools.wraps(forward)
+        def counted(*args, **kwargs):
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(TrackerModel, "forward", counted)
+        assert pl.sequence_workers(3) == 1
+        assert pl.map_sequences(lambda _: os.getpid(), [0, 1, 2]) == [os.getpid()] * 3
+
+    @fans_out
+    def test_the_log_sums_seconds_and_keeps_the_most_workers(self, cpus):
+        log = pl.FanOutLog()
+        for n in (2, 1):
+            cpus(n)
+            pl.map_sequences(lambda i: i, [0, 1, 2], log)
+        assert log.workers == 2 and log.seconds > 0
+        assert re.fullmatch(r"tracked 12 frames in \d+\.\d s \(\d+ fps, 2 workers\)", log.line(12))
 
     @fans_out
     def test_reports_and_twin_rates_match_the_in_process_path(self, tiny_dataset, small_setup, small_cfg, tmp_path, cpus):

@@ -13,10 +13,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -464,17 +462,17 @@ def sequence_workers(n: int) -> int:
     """How many processes ``map_sequences`` runs ``n`` items in.
 
     One per usable CPU, at most one per item. A single process where the
-    ``fork`` start method is missing or numpy's BLAS thread count cannot be
-    set: on a 2-CPU host, two workers left at the default BLAS thread count
-    ran at 0.26x the speed of one process. Also a single process inside a
-    worker, whose CPUs the outer call already counted, and while the model's
+    platform cannot fork or numpy's BLAS thread count cannot be set: on a
+    2-CPU host, two workers left at the default BLAS thread count ran at
+    0.26x the speed of one process. Also a single process inside a worker,
+    whose CPUs the outer call already counted, and while the model's
     forward is wrapped in place (``__wrapped__`` set, as ``functools.wraps``
     and span tracers do): such a wrapper records into this process, and the
     calls a worker makes would never reach it.
     """
     if _worker_job is not None or hasattr(TrackerModel.forward, "__wrapped__"):
         return 1
-    if "fork" not in multiprocessing.get_all_start_methods() or nc.blas_thread_calls() is None:
+    if not hasattr(os, "fork") or nc.blas_thread_calls() is None:
         return 1
     return max(1, min(n, usable_cpus()))
 
@@ -524,6 +522,11 @@ def map_sequences(fn, items, log: FanOutLog | None = None) -> list:
     if workers == 1:
         results = [fn(item) for item in items]
     else:
+        # imported here: the process machinery adds 2 MB to every process
+        # that imports this module, most of which never fans out
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         context = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers, mp_context=context, initializer=_start_worker, initargs=(fn, items)) as pool:
             try:

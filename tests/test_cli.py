@@ -203,6 +203,94 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def saved_with_moments(self, tmp_path):
+        """A saved checkpoint whose m and v hold distinct values, with its parts."""
+        cfg, model, opt, rng = self.make_parts(tmp_path)
+        fill = np.random.default_rng(5)
+        for name in opt.m:
+            opt.m[name][...] = fill.standard_normal(opt.m[name].shape)
+            opt.v[name][...] = fill.random(opt.v[name].shape)
+        path = tmp_path / "c.aio"
+        save_checkpoint(path, cfg, model, opt, 7, rng.bit_generator.state)
+        return path, model, opt
+
+    def test_a_cut_in_any_section_is_a_truncated_checkpoint(self, tmp_path):
+        path, model, *_ = self.saved_with_moments(tmp_path)
+        blob = path.read_bytes()
+        (config_len,) = struct.unpack("<I", blob[8:12])
+        params = model.named_parameters()
+        payload = 4 * sum(t.size for t in params.values())
+        # per parameter: u16 name length, name, u8 ndim, u32 dims, payload
+        headers = sum(3 + len(name.encode("utf-8")) + 4 * t.ndim for name, t in params.items())
+        params_end = 12 + config_len + 4 + headers + payload
+        rng_start = params_end + 4 + 2 * payload + 8
+        assert struct.unpack("<I", blob[rng_start : rng_start + 4]) == (len(blob) - rng_start - 4,)
+        cuts = {
+            "header": 12 + config_len // 2,
+            "parameter": params_end - 2,  # inside the last parameter's payload
+            "moments": params_end + 4 + payload + 2,
+            "rng": rng_start + 4 + (len(blob) - rng_start - 4) // 2,
+        }
+        for section, at in cuts.items():
+            cut = tmp_path / f"cut-{section}.aio"
+            cut.write_bytes(blob[:at])
+            with pytest.raises(CheckpointError, match=f"^{re.escape(str(cut))}: truncated checkpoint$"):
+                load_checkpoint(cut)
+
+    def test_one_extra_byte_is_named(self, tmp_path):
+        path, *_ = self.saved_with_moments(tmp_path)
+        longer = tmp_path / "longer.aio"
+        longer.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(longer))}: 1 trailing bytes$"):
+            load_checkpoint(longer)
+
+    def test_loaded_arrays_are_writable_contiguous_float32_and_bit_equal(self, tmp_path):
+        path, model, opt = self.saved_with_moments(tmp_path)
+        state = load_checkpoint(path)
+        saved = {
+            "params": {name: t.data for name, t in model.named_parameters().items()},
+            "m": opt.m,
+            "v": opt.v,
+        }
+        loaded = {"params": state.params, "m": state.optimizer["m"], "v": state.optimizer["v"]}
+        for part, arrays in saved.items():
+            assert set(loaded[part]) == set(arrays), part
+            for name, arr in arrays.items():
+                got = loaded[part][name]
+                assert got.dtype == np.float32 and got.flags.writeable and got.flags.c_contiguous, (part, name)
+                assert got.shape == arr.shape and got.tobytes() == arr.tobytes(), (part, name)
+
+    def test_a_file_in_the_documented_layout_loads_to_its_arrays(self, tmp_path):
+        # encoded from the layout in the checkpoint module's docstring, apart
+        # from save_checkpoint, so a reader change cannot move the format
+        fill = np.random.default_rng(6)
+        arrays = {
+            "a.scale": np.array(1.5, dtype="<f4"),
+            "b.weight": fill.standard_normal((2, 3)).astype("<f4"),
+            "c.bias": fill.standard_normal(4).astype("<f4"),
+        }
+        moments = {name: (arr * 2, arr + 1) for name, arr in arrays.items()}
+        config_text = Config().to_text().encode("utf-8")
+        rng_blob = json.dumps({"state": 3}).encode("ascii")
+        parts = [b"AIO1", struct.pack("<II", 1, len(config_text)), config_text, struct.pack("<I", len(arrays))]
+        for name, arr in arrays.items():
+            shape = struct.pack(f"<{arr.ndim}I", *arr.shape)
+            parts += [struct.pack("<H", len(name)), name.encode("utf-8"), struct.pack("<B", arr.ndim), shape, arr.tobytes()]
+        parts.append(struct.pack("<I", 9))
+        for m, v in moments.values():
+            parts += [m.tobytes(), v.tobytes()]
+        parts += [struct.pack("<QI", 11, len(rng_blob)), rng_blob]
+        path = tmp_path / "layout.aio"
+        path.write_bytes(b"".join(parts))
+
+        state = load_checkpoint(path)
+        assert (state.config, state.iteration, state.rng_state) == (Config(), 11, {"state": 3})
+        assert state.optimizer["step"] == 9
+        for name, arr in arrays.items():
+            m, v = moments[name]
+            for got, want in ((state.params[name], arr), (state.optimizer["m"][name], m), (state.optimizer["v"][name], v)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
         cfg, model, opt, rng = self.make_parts(tmp_path)
         path = tmp_path / "c.aio"

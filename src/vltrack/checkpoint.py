@@ -21,6 +21,7 @@ interrupted save leaves the previous checkpoint as it was.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -156,66 +157,78 @@ def save_checkpoint(path, cfg: Config, model, opt, iteration: int, rng_state: di
 
 
 class _Reader:
-    def __init__(self, blob: bytes, path):
-        self.blob = blob
-        self.pos = 0
+    """Reads a checkpoint's fields in order; a short read is a truncated checkpoint."""
+
+    def __init__(self, fh, path):
+        self.fh = fh
         self.path = path
+        self.size = os.fstat(fh.fileno()).st_size
+
+    def _expect(self, n: int, got: int):
+        # checked before reading too, so a corrupt length never sizes a buffer
+        if got < n:
+            raise CheckpointError(f"{self.path}: truncated checkpoint")
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise CheckpointError(f"{self.path}: truncated checkpoint")
-        out = self.blob[self.pos : self.pos + n]
-        self.pos += n
+        self._expect(n, self.size - self.fh.tell())
+        out = self.fh.read(n)
+        self._expect(n, len(out))
         return out
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def array(self, shape) -> np.ndarray:
+        """A float32 array of ``shape`` read straight from the file, with no copy of the file held."""
+        nbytes = 4 * math.prod(shape)
+        self._expect(nbytes, self.size - self.fh.tell())
+        out = np.empty(shape, dtype="<f4")
+        self._expect(nbytes, self.fh.readinto(memoryview(out).cast("B")))
+        return out
+
+    def check_end(self):
+        trailing = self.size - self.fh.tell()
+        if trailing:
+            raise CheckpointError(f"{self.path}: {trailing} trailing bytes")
+
 
 def load_checkpoint(path, expect: Config | None = None) -> CheckpointState:
     """Read a checkpoint; with ``expect`` given, reject model-shape mismatches."""
     try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
+        fh = open(path, "rb")
     except FileNotFoundError:
         raise CheckpointError(f"checkpoint not found: {path}") from None
-    r = _Reader(blob, path)
-    if r.take(4) != MAGIC:
-        raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
-    (version,) = r.unpack("<I")
-    if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    (config_len,) = r.unpack("<I")
-    stored_cfg = parse_config_text(_drop_retired_keys(r.take(config_len).decode("utf-8"), path))
-    if expect is not None and model_signature(expect) != model_signature(stored_cfg):
-        stored = model_signature(stored_cfg)
-        asked = model_signature(expect)
-        diff = {k: (stored[k], asked[k]) for k in stored if stored[k] != asked[k]}
-        raise CheckpointError(f"{path}: model shape mismatch (stored, requested): {diff}")
+    with fh:
+        r = _Reader(fh, path)
+        if r.take(4) != MAGIC:
+            raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
+        (version,) = r.unpack("<I")
+        if version != VERSION:
+            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+        (config_len,) = r.unpack("<I")
+        stored_cfg = parse_config_text(_drop_retired_keys(r.take(config_len).decode("utf-8"), path))
+        if expect is not None and model_signature(expect) != model_signature(stored_cfg):
+            stored = model_signature(stored_cfg)
+            asked = model_signature(expect)
+            diff = {k: (stored[k], asked[k]) for k in stored if stored[k] != asked[k]}
+            raise CheckpointError(f"{path}: model shape mismatch (stored, requested): {diff}")
 
-    (n_params,) = r.unpack("<I")
-    params = {}
-    names = []
-    for _ in range(n_params):
-        (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
-        (ndim,) = r.unpack("<B")
-        shape = r.unpack(f"<{ndim}I") if ndim else ()
-        count = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(shape).copy()
-        params[name] = data
-        names.append(name)
-    (step,) = r.unpack("<I")
-    m, v = {}, {}
-    for name in names:
-        count = params[name].size
-        m[name] = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(params[name].shape).copy()
-        v[name] = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(params[name].shape).copy()
-    (iteration,) = r.unpack("<Q")
-    (rng_len,) = r.unpack("<I")
-    rng_state = _decode_rng_state(r.take(rng_len))
-    if r.pos != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - r.pos} trailing bytes")
+        (n_params,) = r.unpack("<I")
+        params = {}
+        for _ in range(n_params):
+            (name_len,) = r.unpack("<H")
+            name = r.take(name_len).decode("utf-8")
+            (ndim,) = r.unpack("<B")
+            params[name] = r.array(r.unpack(f"<{ndim}I") if ndim else ())
+        (step,) = r.unpack("<I")
+        m, v = {}, {}
+        for name, arr in params.items():
+            m[name] = r.array(arr.shape)
+            v[name] = r.array(arr.shape)
+        (iteration,) = r.unpack("<Q")
+        (rng_len,) = r.unpack("<I")
+        rng_state = _decode_rng_state(r.take(rng_len))
+        r.check_end()
     return CheckpointState(
         config=stored_cfg,
         params=params,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import Config
 from .errors import VLTrackError
-from .numcore import Tape, grad_check, named_stream
+from .numcore import Tape, grad_check, named_stream, probe_coords
 
 RECIPES_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))), "recipes")
 
@@ -99,12 +99,16 @@ def gradient_fidelity(cfg: Config | None = None, h=1e-6, tol=1e-3, coords_per_pa
     that differs from its start, is forwarded once and every check reads its
     loss (or sums the total) from those components. A forward made while a
     tape records always runs fresh, so each check differentiates its own.
+    Before the first check, the state of every probe ``grad_check`` will
+    make (``probe_coords``) is forwarded through ``pipeline.map_sequences``,
+    so the probes run in parallel workers where the host allows it; a state
+    no probe reached runs fresh when a check asks for it.
 
     Returns a JSON-friendly report; each loss names its ``worst``
     coordinate: parameter, flat index, analytic and numeric gradient.
     """
     from .model import TrackerModel
-    from .pipeline import compute_losses, resolve_vocab, total_loss
+    from .pipeline import compute_losses, map_sequences, resolve_vocab, total_loss
 
     cfg = (cfg or Config()).replace(batch_size=2)
     vocab = resolve_vocab(cfg)
@@ -113,17 +117,21 @@ def gradient_fidelity(cfg: Config | None = None, h=1e-6, tol=1e-3, coords_per_pa
     params = model.named_parameters()
     chosen = [name for name in GRADCHECK_PARAMS if name in params]
     inputs = [params[name] for name in chosen]
-    start = [t.data.reshape(-1).view(np.int64).copy() for t in inputs]
+    flats = [t.data.reshape(-1) for t in inputs]
+    start = [flat.view(np.int64).copy() for flat in flats]
     probes = {}  # perturbed state of the checked parameters -> its untaped loss components
+
+    def state_key():
+        state = []
+        for k, (flat, bits0) in enumerate(zip(flats, start)):
+            bits = flat.view(np.int64)
+            state.extend((k, int(i), int(bits[i])) for i in np.flatnonzero(bits != bits0))
+        return tuple(state)
 
     def components():
         if Tape.current is not None:
             return compute_losses(model, batch, cfg)
-        state = []
-        for k, (t, bits0) in enumerate(zip(inputs, start)):
-            bits = t.data.reshape(-1).view(np.int64)
-            state.extend((k, int(i), int(bits[i])) for i in np.flatnonzero(bits != bits0))
-        key = tuple(state)
+        key = state_key()
         if key not in probes:
             probes[key] = compute_losses(model, batch, cfg)
         return probes[key]
@@ -133,7 +141,24 @@ def gradient_fidelity(cfg: Config | None = None, h=1e-6, tol=1e-3, coords_per_pa
             return lambda *_: total_loss(components(), cfg)[0]
         return lambda *_: components()[name]
 
+    def probe(job):
+        k, idx, value = job
+        keep = flats[k][idx]
+        flats[k][idx] = value
+        try:
+            return compute_losses(model, batch, cfg)
+        finally:
+            flats[k][idx] = keep
+
     started = time.perf_counter()
+    jobs = {}  # probe state -> (input index, flat index, value), set as grad_check sets them
+    for k, idx in probe_coords([t.size for t in inputs], coords_per_param):
+        keep = flats[k][idx]
+        for value in (keep + h, keep - h):
+            flats[k][idx] = value
+            jobs.setdefault(state_key(), (k, idx, value))
+        flats[k][idx] = keep
+    probes.update(zip(jobs, map_sequences(probe, list(jobs.values()))))
     report = {"h": h, "tol": tol, "losses": {}, "params": chosen}
     for name in ("cls", "giou", "l1", "cma", "ima", "total"):
         result = grad_check(loss_fn(name), inputs, h=h, tol=tol, max_coords_per_input=coords_per_param)

@@ -54,6 +54,24 @@ def _worst(coords):
     return max(coords, key=lambda c: (math.isnan(c.rel_err), c.rel_err), default=None)
 
 
+def probe_coords(sizes, max_coords_per_input, seed=0) -> list:
+    """The ``(input index, flat index)`` pairs ``grad_check`` probes, in its order.
+
+    Every entry of an input with at most ``max_coords_per_input`` entries;
+    otherwise that many distinct entries, ascending, drawn from one
+    ``default_rng(seed)`` shared across the inputs in turn.
+    """
+    rng = np.random.default_rng(seed)
+    coords = []
+    for k, size in enumerate(sizes):
+        if size <= max_coords_per_input:
+            idxs = np.arange(size)
+        else:
+            idxs = np.sort(rng.choice(size, size=max_coords_per_input, replace=False))
+        coords.extend((k, int(idx)) for idx in idxs)
+    return coords
+
+
 def grad_check(f, inputs, h=1e-3, tol=1e-3, max_coords_per_input=16, seed=0, atol=1e-6):
     """Compare tape gradients of scalar ``f(*inputs)`` against central differences.
 
@@ -84,27 +102,21 @@ def grad_check(f, inputs, h=1e-3, tol=1e-3, max_coords_per_input=16, seed=0, ato
         raise ContractError("grad_check requires a scalar-valued function")
     tape.backward(out)
 
-    rng = np.random.default_rng(seed)
     floor = atol / tol
     coords: list[CoordResult] = []
-    for k, t in enumerate(inputs64):
-        analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
-        if t.size <= max_coords_per_input:
-            idxs = np.arange(t.size)
-        else:
-            idxs = np.sort(rng.choice(t.size, size=max_coords_per_input, replace=False))
+    for k, idx in probe_coords([t.size for t in inputs64], max_coords_per_input, seed):
+        t = inputs64[k]
         flat = t.data.reshape(-1)
-        for idx in idxs:
-            keep = flat[idx]
-            flat[idx] = keep + h
-            f_plus = f(*inputs64).item()
-            flat[idx] = keep - h
-            f_minus = f(*inputs64).item()
-            flat[idx] = keep
-            a = float(analytic.reshape(-1)[idx])
-            n = (f_plus - f_minus) / (2.0 * h)
-            rel = abs(a - n) / max(abs(a), abs(n), floor)
-            coords.append(CoordResult(k, int(idx), a, n, rel))
+        keep = flat[idx]
+        flat[idx] = keep + h
+        f_plus = f(*inputs64).item()
+        flat[idx] = keep - h
+        f_minus = f(*inputs64).item()
+        flat[idx] = keep
+        a = float(t.grad.reshape(-1)[idx]) if t.grad is not None else 0.0
+        n = (f_plus - f_minus) / (2.0 * h)
+        rel = abs(a - n) / max(abs(a), abs(n), floor)
+        coords.append(CoordResult(k, idx, a, n, rel))
 
     worst = _worst(coords)
     max_rel_err = worst.rel_err if worst is not None else 0.0

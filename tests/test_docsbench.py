@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 import re
 import time
 
@@ -27,6 +28,10 @@ from vltrack.model import TrackerModel
 from vltrack.pipeline import compute_losses, resolve_vocab, total_loss
 
 LOSSES = ("cls", "giou", "l1", "cma", "ima", "total")
+fans_out = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods() or nc.blas_thread_calls() is None,
+    reason="needs the fork start method and numpy's OpenBLAS thread calls",
+)
 SMALL = Config().replace(dim=32, layers=1, heads=2, align_dim=16, head_channels="8,8,8")
 
 
@@ -171,6 +176,11 @@ class TestTwinEval:
 
 
 class TestGradientFidelityHarness:
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        assert multiprocessing.active_children() == []
+
     def test_micro_batch_shapes(self):
         cfg = Config().replace(batch_size=2)
         batch = micro_batch(cfg, resolve_vocab(cfg), n=2)
@@ -240,44 +250,74 @@ class TestGradientFidelityHarness:
             worst = max(ref.coords, key=lambda c: c.rel_err)
             assert (entry["worst"]["index"], entry["worst"]["numeric"]) == (worst.flat_index, worst.numeric), name
 
+    @staticmethod
+    def force_cpus(monkeypatch, n):
+        monkeypatch.setattr(vltrack.pipeline, "usable_cpus", lambda: n)
+
     def test_checks_share_probe_forwards_exactly(self, monkeypatch):
         # every check probes the same coordinates: one taped forward per check,
-        # and one untaped forward per probe of the first check only
+        # and one untaped forward per probe state, all in this process at one CPU
         reference = self.unshared_checks(SMALL)
+        self.force_cpus(monkeypatch, 1)
         taped = self.count_forwards(monkeypatch)
         report = gradient_fidelity(SMALL)
         coords = report["losses"]["cls"]["coords"]
         assert taped.count(True) == 6 and taped.count(False) == 2 * coords
         self.assert_same_reports(report, reference)
 
+    @staticmethod
+    def from_probed_state(check):
+        """``check`` with every call after the first started from a state the
+        first one probed: the smallest input's entry 0 moved by +h."""
+        seen = []
+
+        def shifted(f, inputs, h, max_coords_per_input, **kwargs):
+            seen.append(f)
+            smallest = min(inputs, key=lambda t: t.size)
+            assert smallest.size <= max_coords_per_input  # so the first check probes all of it
+            flat = smallest.data.reshape(-1)
+            keep = flat[0]
+            if len(seen) > 1:
+                flat[0] = keep + h
+            try:
+                return check(f, inputs, h=h, max_coords_per_input=max_coords_per_input, **kwargs)
+            finally:
+                flat[0] = keep
+
+        return shifted
+
     def test_shared_forwards_follow_the_state_not_the_call_order(self, monkeypatch):
-        # Each check after the first starts from a state the first one probed:
-        # the smallest input's entry 0 moved by +h. Its taped forward must not be
-        # served from that probe, and its probes, all at new states, must not be
-        # served the first check's probes in call order.
-        def from_probed_state(check):
-            seen = []
-
-            def shifted(f, inputs, h, max_coords_per_input, **kwargs):
-                seen.append(f)
-                smallest = min(inputs, key=lambda t: t.size)
-                assert smallest.size <= max_coords_per_input  # so the first check probes all of it
-                flat = smallest.data.reshape(-1)
-                keep = flat[0]
-                if len(seen) > 1:
-                    flat[0] = keep + h
-                try:
-                    return check(f, inputs, h=h, max_coords_per_input=max_coords_per_input, **kwargs)
-                finally:
-                    flat[0] = keep
-
-            return shifted
-
-        reference = self.unshared_checks(SMALL, check=from_probed_state(nc.grad_check))
-        monkeypatch.setattr(vltrack.docsbench, "grad_check", from_probed_state(nc.grad_check))
+        # Each check after the first starts from a state the first one probed.
+        # Its taped forward must not be served from that probe, and its probes,
+        # all at new states, must not be served the first check's probes in
+        # call order.
+        reference = self.unshared_checks(SMALL, check=self.from_probed_state(nc.grad_check))
+        monkeypatch.setattr(vltrack.docsbench, "grad_check", self.from_probed_state(nc.grad_check))
+        self.force_cpus(monkeypatch, 1)
         taped = self.count_forwards(monkeypatch)
         report = gradient_fidelity(SMALL)
         coords = report["losses"]["cls"]["coords"]
         # the first check probes its states, the second new ones, the rest reuse the second's
         assert taped.count(True) == 6 and taped.count(False) == 4 * coords
+        self.assert_same_reports(report, reference)
+
+    @fans_out
+    def test_probes_forwarded_in_workers_give_the_same_report(self, monkeypatch):
+        self.force_cpus(monkeypatch, 1)
+        alone = gradient_fidelity(SMALL)
+        self.force_cpus(monkeypatch, 2)
+        taped = self.count_forwards(monkeypatch)
+        fanned = gradient_fidelity(SMALL)
+        assert taped == [True] * 6  # every probe ran in a worker
+        del alone["runtime_s"], fanned["runtime_s"]
+        assert repr(fanned) == repr(alone)  # repr tells every float bit apart
+
+        # the first check's probes come from the workers; the second check's
+        # new states run here once, and the later checks reuse them
+        reference = self.unshared_checks(SMALL, check=self.from_probed_state(nc.grad_check))
+        monkeypatch.setattr(vltrack.docsbench, "grad_check", self.from_probed_state(nc.grad_check))
+        taped = self.count_forwards(monkeypatch)
+        report = gradient_fidelity(SMALL)
+        coords = report["losses"]["cls"]["coords"]
+        assert taped.count(True) == 6 and taped.count(False) == 2 * coords
         self.assert_same_reports(report, reference)

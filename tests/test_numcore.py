@@ -168,6 +168,24 @@ class TestGradCheck:
         assert report.worst.flat_index == 1 and report.worst.analytic == math.inf
         assert math.isnan(report.worst.numeric)
 
+    def test_probe_coords_lists_the_probed_coordinates_in_order(self):
+        rng = np.random.default_rng(2)
+        inputs = [Tensor(rng.standard_normal(n), dtype=np.float64, requires_grad=True) for n in (2, 10, 7, 30)]
+        start = [t.data.copy() for t in inputs]
+        probed = []
+
+        def f(*ts):
+            if Tape.current is None:
+                moved = [(k, int(i)) for k, t in enumerate(ts) for i in np.flatnonzero(t.data != start[k])]
+                probed.extend(moved)
+            return nc.tensor_sum(nc.concat([t * t for t in ts], axis=0))
+
+        report = nc.grad_check(f, inputs, max_coords_per_input=4, seed=3)
+        coords = nc.probe_coords([2, 10, 7, 30], 4, seed=3)
+        assert [(c.input_index, c.flat_index) for c in report.coords] == coords
+        assert probed == [c for c in coords for _ in range(2)]  # +h, then -h
+        assert [k for k, _ in coords] == [0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3]
+
 
 def _check(f, tensors, tol=1e-3):
     report = nc.grad_check(f, tensors, h=1e-3, tol=tol, max_coords_per_input=12)

@@ -157,39 +157,31 @@ def save_checkpoint(path, cfg: Config, model, opt, iteration: int, rng_state: di
 
 
 class _Reader:
-    """Reads a checkpoint's fields in order; a short read is a truncated checkpoint."""
+    """Reads a checkpoint's fields in order; a field past the end is a truncated checkpoint."""
 
     def __init__(self, fh, path):
         self.fh = fh
         self.path = path
         self.size = os.fstat(fh.fileno()).st_size
 
-    def _expect(self, n: int, got: int):
-        # checked before reading too, so a corrupt length never sizes a buffer
-        if got < n:
+    def _need(self, n: int):
+        # checked before reading, so a corrupt length never sizes a buffer
+        if n > self.size - self.fh.tell():
             raise CheckpointError(f"{self.path}: truncated checkpoint")
 
     def take(self, n: int) -> bytes:
-        self._expect(n, self.size - self.fh.tell())
-        out = self.fh.read(n)
-        self._expect(n, len(out))
-        return out
+        self._need(n)
+        return self.fh.read(n)
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def array(self, shape) -> np.ndarray:
         """A float32 array of ``shape`` read straight from the file, with no copy of the file held."""
-        nbytes = 4 * math.prod(shape)
-        self._expect(nbytes, self.size - self.fh.tell())
+        self._need(4 * math.prod(shape))
         out = np.empty(shape, dtype="<f4")
-        self._expect(nbytes, self.fh.readinto(memoryview(out).cast("B")))
+        self.fh.readinto(memoryview(out).cast("B"))
         return out
-
-    def check_end(self):
-        trailing = self.size - self.fh.tell()
-        if trailing:
-            raise CheckpointError(f"{self.path}: {trailing} trailing bytes")
 
 
 def load_checkpoint(path, expect: Config | None = None) -> CheckpointState:
@@ -219,7 +211,7 @@ def load_checkpoint(path, expect: Config | None = None) -> CheckpointState:
             (name_len,) = r.unpack("<H")
             name = r.take(name_len).decode("utf-8")
             (ndim,) = r.unpack("<B")
-            params[name] = r.array(r.unpack(f"<{ndim}I") if ndim else ())
+            params[name] = r.array(r.unpack(f"<{ndim}I"))
         (step,) = r.unpack("<I")
         m, v = {}, {}
         for name, arr in params.items():
@@ -228,7 +220,9 @@ def load_checkpoint(path, expect: Config | None = None) -> CheckpointState:
         (iteration,) = r.unpack("<Q")
         (rng_len,) = r.unpack("<I")
         rng_state = _decode_rng_state(r.take(rng_len))
-        r.check_end()
+        trailing = r.size - fh.tell()
+        if trailing:
+            raise CheckpointError(f"{path}: {trailing} trailing bytes")
     return CheckpointState(
         config=stored_cfg,
         params=params,

@@ -237,6 +237,18 @@ class TestCheckpoint:
             with pytest.raises(CheckpointError, match=f"^{re.escape(str(cut))}: truncated checkpoint$"):
                 load_checkpoint(cut)
 
+    def test_a_corrupt_dimension_is_a_truncated_checkpoint(self, tmp_path):
+        # the first parameter claims 2**31 rows: rejected before any buffer is sized
+        path, model, _ = self.saved_with_moments(tmp_path)
+        blob = bytearray(path.read_bytes())
+        (config_len,) = struct.unpack("<I", blob[8:12])
+        name = sorted(model.named_parameters())[0].encode("utf-8")
+        dims_at = 12 + config_len + 4 + 2 + len(name) + 1
+        blob[dims_at : dims_at + 4] = struct.pack("<I", 2**31)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="truncated checkpoint$"):
+            load_checkpoint(path)
+
     def test_one_extra_byte_is_named(self, tmp_path):
         path, *_ = self.saved_with_moments(tmp_path)
         longer = tmp_path / "longer.aio"

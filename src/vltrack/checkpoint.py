@@ -113,9 +113,14 @@ def _decode_rng_state(blob: bytes) -> dict:
     return restore(json.loads(blob.decode("ascii")))
 
 
+def _write_f32(fh, arr):
+    """Write ``arr`` as little-endian float32 from its own buffer; a copy is made only to convert."""
+    fh.write(memoryview(np.ascontiguousarray(arr, dtype="<f4")).cast("B"))
+
+
 def save_checkpoint(path, cfg: Config, model, opt, iteration: int, rng_state: dict):
+    """Write ``model``'s parameters and ``opt``'s AdamW moments (``step_count``, ``m``, ``v``)."""
     params = model.named_parameters()
-    opt_state = opt.state_dict()
     names = sorted(params)
     # run-local paths are not part of the experiment identity; keeping them
     # would make same-seed checkpoints differ byte-wise across run dirs
@@ -133,17 +138,17 @@ def save_checkpoint(path, cfg: Config, model, opt, iteration: int, rng_state: di
             fh.write(config_blob)
             fh.write(struct.pack("<I", len(names)))
             for name in names:
-                data = np.ascontiguousarray(params[name].data, dtype="<f4")
+                data = params[name].data
                 encoded = name.encode("utf-8")
                 fh.write(struct.pack("<H", len(encoded)))
                 fh.write(encoded)
                 fh.write(struct.pack("<B", data.ndim))
                 fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
-                fh.write(data.tobytes())
-            fh.write(struct.pack("<I", opt_state["step"]))
+                _write_f32(fh, data)
+            fh.write(struct.pack("<I", opt.step_count))
             for name in names:
-                fh.write(np.ascontiguousarray(opt_state["m"][name], dtype="<f4").tobytes())
-                fh.write(np.ascontiguousarray(opt_state["v"][name], dtype="<f4").tobytes())
+                _write_f32(fh, opt.m[name])
+                _write_f32(fh, opt.v[name])
             fh.write(struct.pack("<Q", iteration))
             fh.write(struct.pack("<I", len(rng_blob)))
             fh.write(rng_blob)

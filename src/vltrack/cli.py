@@ -1,4 +1,4 @@
-"""Command-line surface: generate | train | eval | track | grad-check.
+"""Command-line surface: generate | train | eval | twin-eval | track | grad-check.
 
 Precedence for settings: built-in defaults < --config file < CLI flags; the
 AIO_SEED environment variable overrides the seed last. Every command exits 0
@@ -14,7 +14,6 @@ import sys
 
 from .config import Config, load_config
 from .errors import VLTrackError
-from .head import BBox
 
 
 def _apply_overrides(cfg: Config, args, fields) -> Config:
@@ -134,23 +133,40 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def cmd_twin_eval(args) -> int:
+    """Twin-suite follow/flip rates for a model and its no-MMA ablation."""
+    from .pipeline import FanOutLog, twin_disambiguation
+
+    log = FanOutLog()
+
+    def rates(ckpt_path):
+        model, cfg = _load_model(ckpt_path)
+        return twin_disambiguation(model, args.data, cfg, log)
+
+    payload = {"vl": rates(args.ckpt)}
+    if args.ablation:
+        payload["ablation"] = rates(args.ablation)
+    with open(args.out, "w", encoding="ascii") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+    for name, entry in payload.items():
+        print(f"{name}: correct {entry['correct_rate']:.3f} flip {entry['flip_rate']:.3f} over {entry['frames']} frames")
+    # every frame is tracked twice, under the true and the swapped prompt
+    print(log.line(sum(2 * entry["frames"] for entry in payload.values())))
+    return 0
+
+
 def cmd_track(args) -> int:
     from .pipeline import track_sequence
-    from .synthdata import read_lasot_format
+    from .synthdata import corner_line, parse_corner_line, read_lasot_format
 
+    init_box = parse_corner_line(args.init_box) if args.init_box else None
     model, cfg = _load_model(args.ckpt)
     record = read_lasot_format(args.seq)
-    init_box = None
-    if args.init_box:
-        x, y, w, h = (float(v) for v in args.init_box.split(","))
-        init_box = BBox(x + w / 2, y + h / 2, w, h, "image")
-    elif not record.boxes:
-        print("error: ContractError: no init box available", file=sys.stderr)
-        return 2
     preds = track_sequence(model, record, cfg, prompt_override=args.prompt, init_box=init_box)
     with open(args.out, "w", encoding="ascii") as fh:
         for b in preds:
-            fh.write(f"{b.cx - b.w / 2:.3f},{b.cy - b.h / 2:.3f},{b.w:.3f},{b.h:.3f}\n")
+            fh.write(corner_line(b) + "\n")
     print(f"wrote {len(preds)} boxes to {args.out}")
     return 0
 
@@ -216,6 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-window", action="store_true")
     p.add_argument("--oracle-gt", action="store_true", help="score the ground truth against itself")
     p.set_defaults(func=cmd_eval)
+
+    p = sub.add_parser("twin-eval", help="twin-suite follow and prompt-swap flip rates")
+    p.add_argument("--data", required=True, help="twin-suite directory")
+    p.add_argument("--ckpt", required=True)
+    p.add_argument("--ablation", help="checkpoint of an ablated model, reported alongside")
+    p.add_argument("--out", required=True, help="write the JSON rates here")
+    p.set_defaults(func=cmd_twin_eval)
 
     p = sub.add_parser("track", help="track one sequence and write pred.txt")
     p.add_argument("--ckpt", required=True)

@@ -1,10 +1,10 @@
 """Reproduction recipes and verification harnesses.
 
 Each recipe in the recipes/ directory is a JSON file naming a sequence of
-in-process commands (``vltrack`` subcommands and ``twin-eval``) and a list
-of ``checks`` on their outcome. A check that names a ``criterion`` gates
-that acceptance criterion; each experiment-level criterion (1, 6, 7, 8) is
-defined by exactly one recipe, which the acceptance suite runs.
+``vltrack`` subcommands, run in-process, and a list of ``checks`` on their
+outcome. A check that names a ``criterion`` gates that acceptance
+criterion; each experiment-level criterion (1, 6, 7, 8) is defined by
+exactly one recipe, which the acceptance suite runs.
 ``python -m vltrack.docsbench <name>`` runs one recipe; ``--all`` runs
 everything and can emit a JUnit-style XML report.
 """
@@ -68,17 +68,7 @@ def micro_batch(cfg: Config, vocab, n=2):
             canvas=cfg.canvas,
         )
         record = memory_record(scenario, seq_id=f"micro{i}")
-        samples.append(
-            sample_pair(
-                record,
-                rng,
-                template_size=cfg.template_size,
-                search_size=cfg.search_size,
-                stride=cfg.patch,
-                jitter=cfg.jitter,
-                prompt_mode=cfg.train_prompt,
-            )
-        )
+        samples.append(sample_pair(record, rng, cfg))
     return assemble_batch(samples, vocab, cfg.n_t)
 
 
@@ -229,51 +219,12 @@ def load_recipes(recipes_dir=None) -> dict:
     return recipes
 
 
-def twin_eval_command(argv) -> int:
-    """Twin-suite follow/flip rates for a model and its no-MMA ablation."""
-    import argparse
-
-    from .checkpoint import load_checkpoint
-    from .model import TrackerModel
-    from .pipeline import FanOutLog, resolve_vocab, twin_disambiguation
-
-    parser = argparse.ArgumentParser(prog="twin-eval")
-    parser.add_argument("--data", required=True)
-    parser.add_argument("--ckpt", required=True)
-    parser.add_argument("--ablation")
-    parser.add_argument("--out", required=True)
-    args = parser.parse_args(argv)
-    log = FanOutLog()
-
-    def rates(ckpt_path):
-        state = load_checkpoint(ckpt_path)
-        model = TrackerModel(state.config, resolve_vocab(state.config))
-        model.load_state(state.params)
-        return twin_disambiguation(model, args.data, state.config, log)
-
-    payload = {"vl": rates(args.ckpt)}
-    if args.ablation:
-        payload["ablation"] = rates(args.ablation)
-    with open(args.out, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    for name, entry in payload.items():
-        print(f"{name}: correct {entry['correct_rate']:.3f} flip {entry['flip_rate']:.3f} over {entry['frames']} frames")
-    # every frame is tracked twice, under the true and the swapped prompt
-    print(log.line(sum(2 * entry["frames"] for entry in payload.values())))
-    return 0
-
-
-def _parse_command(command: str, workdir: str):
-    """The in-process entry point and argv of one recipe command."""
+def _recipe_argv(command: str, workdir: str) -> list:
+    """The ``vltrack`` argv of one recipe command."""
     argv = [a.replace("{work}", workdir) for a in shlex.split(command)]
-    if argv[0] == "vltrack":
-        from .cli import main as cli_main
-
-        return cli_main, argv[1:]
-    if argv[0] == "twin-eval":
-        return twin_eval_command, argv[1:]
-    raise VLTrackError(f"recipe command runs unknown program {argv[0]!r}; recipes run only vltrack and twin-eval")
+    if argv[0] != "vltrack":
+        raise VLTrackError(f"recipe command runs unknown program {argv[0]!r}; recipes run only vltrack")
+    return argv[1:]
 
 
 def _json_value(path, keys):
@@ -336,25 +287,31 @@ def run_recipe(name: str, workdir=None, recipes_dir=None, quiet=False) -> Recipe
 
     The result holds every check's outcome, and per gated criterion the
     outcome of that criterion's checks. A recipe with no checks passes when
-    its commands exit 0. A command that exits non-zero stops the run; every
-    check is still evaluated, and the recipe and each criterion it gates fail
-    with a detail that starts with the failed command.
+    its commands exit 0. A command that exits non-zero, argparse's exit on
+    a bad command line included, stops the run; every check is still
+    evaluated, and the recipe and each criterion it gates fail with a detail
+    that starts with the failed command.
     """
+    from . import cli
+
     recipes = load_recipes(recipes_dir)
     if name not in recipes:
         raise VLTrackError(f"no recipe named {name!r}; available: {', '.join(sorted(recipes))}")
     recipe = recipes[name]
     workdir = workdir or tempfile.mkdtemp(prefix=f"recipe-{name}-")
     os.makedirs(workdir, exist_ok=True)
-    steps = [_parse_command(command, workdir) for command in recipe.commands]
+    steps = [_recipe_argv(command, workdir) for command in recipe.commands]
     started = time.perf_counter()
     command_seconds = []
     failed = []  # the command that stopped the run, if one did
-    for command, (program, argv) in zip(recipe.commands, steps):
+    for command, argv in zip(recipe.commands, steps):
         if not quiet:
             print(f"[{name}] $ {command.replace('{work}', workdir)}", flush=True)
         command_started = time.perf_counter()
-        code = program(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
         command_seconds.append(time.perf_counter() - command_started)
         if not quiet:
             print(f"[{name}] {command_seconds[-1]:.1f}s", flush=True)

@@ -214,26 +214,11 @@ def giou_loss_tensor(pred: Tensor, gt) -> Tensor:
     return nc.mean(_giou_terms(pred, gt))
 
 
-def giou_loss(pred: BBox, gt: BBox) -> float:
-    """1 - GIoU of two boxes; zero-area boxes violate the contract."""
-    for b in (pred, gt):
-        if b.w <= 0 or b.h <= 0:
-            raise ContractError(f"degenerate box w={b.w}, h={b.h}")
-    p = Tensor(np.array([[pred.cx, pred.cy, pred.w, pred.h]], dtype=np.float64), dtype=np.float64)
-    g = Tensor(np.array([[gt.cx, gt.cy, gt.w, gt.h]], dtype=np.float64), dtype=np.float64)
-    return float(nc.mean(_giou_terms(p, g)).item())
-
-
 def l1_loss_tensor(pred: Tensor, gt) -> Tensor:
     """Mean absolute difference over the 4 coordinates (and the batch)."""
     pred = nc.as_tensor(pred)
     gt = nc.as_tensor(gt, dtype=np.float32) if not isinstance(gt, Tensor) else gt
     return nc.mean(nc.absolute(pred - gt))
-
-
-def l1_loss(pred: BBox, gt: BBox) -> float:
-    """Mean |difference| of the 4 coordinates; boxes are expected normalized."""
-    return (abs(pred.cx - gt.cx) + abs(pred.cy - gt.cy) + abs(pred.w - gt.w) + abs(pred.h - gt.h)) / 4.0
 
 
 # ---------------------------------------------------------------------------

@@ -293,12 +293,11 @@ def sample_training_sample(record: SequenceRecord, rng, cfg: Config):
     Records without swap partners, and the class prompt mode, draw nothing
     extra from ``rng``.
     """
-    crop = dict(template_size=cfg.template_size, search_size=cfg.search_size, stride=cfg.patch, jitter=cfg.jitter)
     partners = swap_partners(record) if cfg.train_prompt == "sentence" else []
     if partners and rng.uniform() < PROMPT_SWAP_RATE:
         other = partners[int(rng.integers(len(partners)))]
-        return sample_swap_pair(record, rng, other, **crop)
-    return sample_pair(record, rng, prompt_mode=cfg.train_prompt, **crop)
+        return sample_swap_pair(record, rng, other, cfg)
+    return sample_pair(record, rng, cfg)
 
 
 def sample_training_batch(records, rng, cfg: Config, vocab: Vocab) -> SampleBatch:
@@ -411,7 +410,8 @@ def track_sequence(
     The prediction for frame 0 is the given box; each later frame is searched
     around the previous prediction at 4x scale. Frames are read once each, in
     order, and never cached on the record, so memory stays flat on long
-    sequences. A first box without area raises ``ContractError``.
+    sequences. A first box without area, or with a coordinate that is not
+    finite, raises ``ContractError``.
     """
     if prompt_override is not None:
         prompt = prompt_override
@@ -421,8 +421,11 @@ def track_sequence(
     use_language = cfg.ablate != "vision-only"
 
     first = init_box if init_box is not None else record.boxes[0]
-    if not (first.w > 0 and first.h > 0):
-        raise ContractError(f"sequence {record.seq_id}: the first box has no area (w {first.w}, h {first.h})")
+    if not (first.w > 0 and first.h > 0 and all(map(math.isfinite, (first.cx, first.cy, first.w, first.h)))):
+        raise ContractError(
+            f"sequence {record.seq_id}: the first box has no area or a non-finite coordinate "
+            f"(cx {first.cx}, cy {first.cy}, w {first.w}, h {first.h})"
+        )
     template, _ = crop_and_resize(
         record.stream_frame(0), (first.cx, first.cy), max(8.0, crop_side_for(first, 2.0)), cfg.template_size, cfg.patch
     )

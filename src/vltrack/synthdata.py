@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import Config
 from .errors import ConfigurationError, ContractError, ParseError
 from .head import BBox, CropMeta
 from .numcore import named_stream
@@ -404,7 +405,7 @@ def generate(scenario: Scenario, out_dir) -> SequenceRecord:
 
     with open(os.path.join(out_dir, "groundtruth.txt"), "w", encoding="ascii") as fh:
         for b in boxes:
-            fh.write(f"{b.cx - b.w / 2:.3f},{b.cy - b.h / 2:.3f},{b.w:.3f},{b.h:.3f}\n")
+            fh.write(corner_line(b) + "\n")
     with open(os.path.join(out_dir, "nlp.txt"), "w", encoding="ascii") as fh:
         fh.write(scenario.prompt + "\n")
     meta = {
@@ -495,6 +496,26 @@ def sequence_hash(seq_dir) -> str:
 _FRAME_EXTENSIONS = (".ppm", ".jpg", ".jpeg", ".png")
 
 
+def corner_line(box: BBox) -> str:
+    """``box`` as a corner-format "x,y,w,h" line, three decimals each."""
+    return f"{box.cx - box.w / 2:.3f},{box.cy - box.h / 2:.3f},{box.w:.3f},{box.h:.3f}"
+
+
+def parse_corner_line(text: str, line: int | None = None) -> BBox:
+    """The center box of a corner-format "x,y,w,h" line (tabs also separate).
+
+    A line without four numbers raises ``ParseError``, naming ``line`` when given.
+    """
+    parts = text.replace("\t", ",").split(",")
+    if len(parts) != 4:
+        raise ParseError(f"expected 4 comma-separated values, got {text!r}", line=line)
+    try:
+        x, y, w, h = (float(p) for p in parts)
+    except ValueError:
+        raise ParseError(f"non-numeric box {text!r}", line=line) from None
+    return BBox(x + w / 2, y + h / 2, w, h, "image")
+
+
 def read_lasot_format(seq_dir) -> SequenceRecord:
     """Parse a sequence directory: img/ frames, groundtruth.txt, nlp.txt.
 
@@ -518,16 +539,8 @@ def read_lasot_format(seq_dir) -> SequenceRecord:
     with open(gt_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
-                continue
-            parts = line.replace("\t", ",").split(",")
-            if len(parts) != 4:
-                raise ParseError(f"expected 4 comma-separated values, got {line!r}", line=lineno)
-            try:
-                x, y, w, h = (float(p) for p in parts)
-            except ValueError:
-                raise ParseError(f"non-numeric box {line!r}", line=lineno) from None
-            boxes.append(BBox(x + w / 2, y + h / 2, w, h, "image"))
+            if line:
+                boxes.append(parse_corner_line(line, lineno))
     if not boxes:
         raise ParseError(f"{gt_path} contains no boxes")
     if len(boxes) != len(frame_paths):
@@ -647,38 +660,32 @@ def _frame_pair(record: SequenceRecord, rng: np.random.Generator):
     return t_idx, s_idx
 
 
-def _target_template(record: SequenceRecord, t_idx: int, template_size: int, stride: int) -> np.ndarray:
+def _target_template(record: SequenceRecord, t_idx: int, cfg: Config) -> np.ndarray:
     t_box = record.boxes[t_idx]
     template, _ = crop_and_resize(
-        record.frame(t_idx), (t_box.cx, t_box.cy), crop_side_for(t_box, 2.0), template_size, stride
+        record.frame(t_idx), (t_box.cx, t_box.cy), crop_side_for(t_box, 2.0), cfg.template_size, cfg.patch
     )
     return template
 
 
-def sample_pair(
-    record: SequenceRecord,
-    rng: np.random.Generator,
-    template_size=32,
-    search_size=64,
-    stride=8,
-    jitter=0.25,
-    prompt_mode="sentence",
-) -> TrainSample:
+def sample_pair(record: SequenceRecord, rng: np.random.Generator, cfg: Config) -> TrainSample:
     """Draw a training pair from one sequence.
 
     Template: 2x crop around a random frame's box. Search: 4x crop around a
-    different frame's box, center jittered by up to ``jitter`` of the box
-    size per axis. The ground-truth box is mapped into search-crop pixels.
+    different frame's box, center jittered by up to ``cfg.jitter`` of the
+    box size per axis. The ground-truth box is mapped into search-crop
+    pixels. Crops are ``cfg.template_size`` and ``cfg.search_size`` pixels
+    on a ``cfg.patch`` stride, and ``cfg.train_prompt`` picks the prompt.
     """
     t_idx, s_idx = _frame_pair(record, rng)
-    template = _target_template(record, t_idx, template_size, stride)
+    template = _target_template(record, t_idx, cfg)
     s_box = record.boxes[s_idx]
-    jx = float(rng.uniform(-jitter, jitter)) * s_box.w
-    jy = float(rng.uniform(-jitter, jitter)) * s_box.h
+    jx = float(rng.uniform(-cfg.jitter, cfg.jitter)) * s_box.w
+    jy = float(rng.uniform(-cfg.jitter, cfg.jitter)) * s_box.h
     search, meta = crop_and_resize(
-        record.frame(s_idx), (s_box.cx + jx, s_box.cy + jy), crop_side_for(s_box, 4.0), search_size, stride
+        record.frame(s_idx), (s_box.cx + jx, s_box.cy + jy), crop_side_for(s_box, 4.0), cfg.search_size, cfg.patch
     )
-    prompt = record.prompt if prompt_mode == "sentence" else record.class_word
+    prompt = record.prompt if cfg.train_prompt == "sentence" else record.class_word
     return TrainSample(template, search, prompt, meta.box_to_crop(s_box), meta)
 
 
@@ -718,36 +725,28 @@ def swap_partners(record: SequenceRecord) -> list:
     return [o for o in record.objects if o is not target and o.shape == target.shape and o.color != target.color]
 
 
-def sample_swap_pair(
-    record: SequenceRecord,
-    rng: np.random.Generator,
-    other: ObjectTrack,
-    template_size=32,
-    search_size=64,
-    stride=8,
-    jitter=0.25,
-) -> TrainSample:
+def sample_swap_pair(record: SequenceRecord, rng: np.random.Generator, other: ObjectTrack, cfg: Config) -> TrainSample:
     """Draw a pair whose prompt designates ``other`` while the template shows the target.
 
-    The template is the target crop of ``sample_pair``. The prompt is the
-    sequence prompt with the target's color word replaced by ``other``'s,
-    and the ground truth is ``other``'s box in the search frame. The 4x
-    search crop (sized by that box) is centered, jittered as in
-    ``sample_pair``, on the target or on ``other`` with equal odds; when
-    ``other``'s center would fall outside a target-centered crop, the crop
-    is centered on ``other`` instead.
+    The template and the crop settings from ``cfg`` are those of
+    ``sample_pair``. The prompt is the sequence prompt with the target's
+    color word replaced by ``other``'s, and the ground truth is ``other``'s
+    box in the search frame. The 4x search crop (sized by that box) is
+    centered, jittered as in ``sample_pair``, on the target or on ``other``
+    with equal odds; when ``other``'s center would fall outside a
+    target-centered crop, the crop is centered on ``other`` instead.
     """
     target = next(o for o in record.objects if o.role == "target")
     t_idx, s_idx = _frame_pair(record, rng)
-    template = _target_template(record, t_idx, template_size, stride)
+    template = _target_template(record, t_idx, cfg)
     gt = BBox(*other.boxes[s_idx], "image")
     side = crop_side_for(gt, 4.0)
     anchor = record.boxes[s_idx] if rng.uniform() < 0.5 else gt
-    fx = float(rng.uniform(-jitter, jitter))
-    fy = float(rng.uniform(-jitter, jitter))
+    fx = float(rng.uniform(-cfg.jitter, cfg.jitter))
+    fy = float(rng.uniform(-cfg.jitter, cfg.jitter))
     center = (anchor.cx + fx * anchor.w, anchor.cy + fy * anchor.h)
     if max(abs(gt.cx - center[0]), abs(gt.cy - center[1])) >= side / 2.0:
         center = (gt.cx + fx * gt.w, gt.cy + fy * gt.h)
-    search, meta = crop_and_resize(record.frame(s_idx), center, side, search_size, stride)
+    search, meta = crop_and_resize(record.frame(s_idx), center, side, cfg.search_size, cfg.patch)
     prompt = swap_color(record.prompt, target.color, other.color)
     return TrainSample(template, search, prompt, meta.box_to_crop(gt), meta)

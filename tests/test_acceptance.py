@@ -111,15 +111,26 @@ class TestCriterion4LossHandValues:
         loss = hd.focal_loss(Tensor(np.full((1, 1, 1), 0.5, np.float32)), np.zeros((1, 1, 1)))
         diffs["focal_neg"] = abs(loss.item() - golden["focal_single_neg_p_half"])
 
+        # the trainer's own box losses, on float32 (1, 4) cxcywh rows as it calls them
+        def box_loss(loss_fn, pred, gt):
+            def row(b):
+                return np.array([[b.cx, b.cy, b.w, b.h]], np.float32)
+
+            return loss_fn(Tensor(row(pred)), row(gt)).item()
+
         b = BBox(10, 10, 4, 4)
-        diffs["giou_identical"] = abs(hd.giou_loss(b, b) - golden["giou_identical"])
+        diffs["giou_identical"] = abs(box_loss(hd.giou_loss_tensor, b, b) - golden["giou_identical"])
         diffs["giou_corner"] = abs(
-            hd.giou_loss(BBox.from_xyxy(0, 0, 2, 2), BBox.from_xyxy(1, 1, 3, 3)) - golden["giou_corner_overlap"]
+            box_loss(hd.giou_loss_tensor, BBox.from_xyxy(0, 0, 2, 2), BBox.from_xyxy(1, 1, 3, 3))
+            - golden["giou_corner_overlap"]
         )
         diffs["giou_disjoint"] = abs(
-            hd.giou_loss(BBox.from_xyxy(0, 0, 1, 1), BBox.from_xyxy(2, 2, 3, 3)) - golden["giou_disjoint"]
+            box_loss(hd.giou_loss_tensor, BBox.from_xyxy(0, 0, 1, 1), BBox.from_xyxy(2, 2, 3, 3))
+            - golden["giou_disjoint"]
         )
-        diffs["l1"] = abs(hd.l1_loss(BBox(0.5, 0.5, 0.2, 0.2), BBox(0.4, 0.5, 0.2, 0.3)) - golden["l1_hand_example"])
+        diffs["l1"] = abs(
+            box_loss(hd.l1_loss_tensor, BBox(0.5, 0.5, 0.2, 0.2), BBox(0.4, 0.5, 0.2, 0.3)) - golden["l1_hand_example"]
+        )
 
         comps = {
             "cls": Tensor(np.array(0.1, np.float32)),

@@ -310,8 +310,7 @@ class TestCheckpoint:
         before = path.read_bytes()
 
         class MissingMoments:
-            def state_dict(self):
-                return dict(opt.state_dict(), m={})  # fails after the parameters are written
+            step_count, m, v = opt.step_count, {}, opt.v  # fails after the parameters are written
 
         with pytest.raises(KeyError):
             save_checkpoint(path, cfg, model, MissingMoments(), 8, rng.bit_generator.state)
@@ -497,6 +496,19 @@ class TestCliTrack:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ContractError: sequence seq_000:") and "\n" not in err.strip()
+
+    @pytest.mark.parametrize(
+        "box, kind",
+        [("1,2,3", "ParseError"), ("1,2,3,4,5", "ParseError"), ("a,b,c,d", "ParseError"), ("nan,1,5,5", "ContractError")],
+    )
+    def test_malformed_init_box_is_a_one_line_error(self, trained_run, tmp_path, capsys, box, kind):
+        seq = trained_run["data"] / "eval" / "seq_000"
+        out = tmp_path / "p.txt"
+        code = main(["track", "--ckpt", str(trained_run["ckpt"]), "--seq", str(seq), "--out", str(out), "--init-box", box])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {kind}: ") and "\n" not in err.strip()
+        assert not out.exists()
 
     def test_prompt_override_accepted(self, trained_run, tmp_path):
         seq = trained_run["data"] / "eval" / "seq_000"

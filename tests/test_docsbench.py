@@ -20,7 +20,6 @@ from vltrack.docsbench import (
     load_recipes,
     micro_batch,
     run_recipe,
-    twin_eval_command,
     write_junit,
 )
 from vltrack.errors import VLTrackError
@@ -144,6 +143,28 @@ class TestRecipes:
         assert "data/train/seq_000/meta.json missing" in result.criteria[2].detail
         assert "did not run" in result.criteria[2].detail
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "vltrack twin-eval --data {work}/twin --ckpt {work}/missing.aio --out {work}/twin.json",
+            "vltrack generate --out {work}/data --no-such-flag",
+        ],
+        ids=["missing-checkpoint", "unknown-flag"],
+    )
+    def test_a_command_exiting_2_fails_the_recipe_and_every_check_runs(self, tmp_path, command):
+        result = run_temp_recipe(
+            tmp_path,
+            [command, "vltrack generate --out {work}/data --train-count 1 --eval-count 0 --frames 4"],
+            [
+                {"criterion": 7, "kind": "json-number", "file": "twin.json", "path": ["vl", "flip_rate"]},
+                {"criterion": 8, "kind": "wall-time", "command": 1, "max": 60},
+            ],
+        )
+        failed = f"command failed with exit 2: {command}"
+        assert not result.passed and len(result.command_seconds) == 1
+        assert result.criteria[7].detail.startswith(failed) and "twin.json missing" in result.criteria[7].detail
+        assert result.criteria[8].detail.startswith(failed) and "did not run" in result.criteria[8].detail
+
     def test_junit_report_shape(self, tmp_path):
         from vltrack.docsbench import RecipeResult
 
@@ -165,7 +186,7 @@ class TestTwinEval:
               "--twin-suite", "--twin-count", "2", "--seed", "1"])
         main(["train", "--config", str(cfg), "--data", str(data / "train"), "--out", str(run), "--iters", "0", "--quiet"])
         capsys.readouterr()
-        assert twin_eval_command(["--data", str(data / "twin"), "--ckpt", str(run / "checkpoint.aio"), "--out", str(out)]) == 0
+        assert main(["twin-eval", "--data", str(data / "twin"), "--ckpt", str(run / "checkpoint.aio"), "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert list(payload) == ["vl"] and set(payload["vl"]) == {"correct_rate", "flip_rate", "frames"}
         assert payload["vl"]["frames"] == 10

@@ -72,7 +72,7 @@ class TestSampleTrainingBatch:
         a, b = np.random.default_rng(2), np.random.default_rng(2)
         for _ in range(10):
             got = pl.sample_training_sample(plain, a, small_cfg)
-            want = sample_pair(plain, b, small_cfg.template_size, small_cfg.search_size, small_cfg.patch, small_cfg.jitter)
+            want = sample_pair(plain, b, small_cfg)
             assert got.prompt == plain.prompt
             assert np.array_equal(got.search, want.search) and np.array_equal(got.template, want.template)
         assert a.bit_generator.state == b.bit_generator.state
@@ -302,7 +302,15 @@ class TestTrackSequence:
         preds = pl.track_sequence(model, records[0], small_cfg, prompt_override="blue square moving up")
         assert len(preds) == len(records[0])
 
-    @pytest.mark.parametrize("box", [BBox(0.0, 0.0, 0.0, 0.0), BBox(40.0, 40.0, 10.0, -1.0)])
+    @pytest.mark.parametrize(
+        "box",
+        [
+            BBox(0.0, 0.0, 0.0, 0.0),
+            BBox(40.0, 40.0, 10.0, -1.0),
+            BBox(math.nan, 40.0, 10.0, 10.0),
+            BBox(40.0, 40.0, math.inf, 10.0),
+        ],
+    )
     def test_first_box_without_area_is_a_contract_error(self, small_setup, small_cfg, box):
         records, _, model, _ = small_setup
         with pytest.raises(ContractError, match=f"sequence {records[0].seq_id}: the first box has no area"):

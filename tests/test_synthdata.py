@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from vltrack import synthdata as sd
+from vltrack.config import Config
 from vltrack.errors import ConfigurationError, ContractError, ParseError
 from vltrack.head import BBox
 from vltrack.synthdata import (
@@ -241,7 +242,7 @@ class TestSamplePair:
     def test_fields_and_shapes(self, twin_seq):
         _, record, _ = twin_seq
         rng = np.random.default_rng(2)
-        s = sample_pair(record, rng, template_size=32, search_size=64)
+        s = sample_pair(record, rng, Config(template_size=32, search_size=64))
         assert s.template.shape == (3, 32, 32)
         assert s.search.shape == (3, 64, 64)
         assert s.prompt == record.prompt
@@ -250,7 +251,7 @@ class TestSamplePair:
     def test_zero_jitter_centers_box(self, twin_seq):
         _, record, _ = twin_seq
         rng = np.random.default_rng(3)
-        s = sample_pair(record, rng, jitter=0.0)
+        s = sample_pair(record, rng, Config(jitter=0.0))
         assert s.gt_box.cx == pytest.approx(32.0, abs=1e-5)
         assert s.gt_box.cy == pytest.approx(32.0, abs=1e-5)
 
@@ -258,7 +259,7 @@ class TestSamplePair:
         _, record, _ = twin_seq
         rng = np.random.default_rng(4)
         for _ in range(20):
-            s = sample_pair(record, rng, jitter=0.25)
+            s = sample_pair(record, rng, Config(jitter=0.25))
             # center displacement in crop pixels, converted back to box units
             dx = abs(s.gt_box.cx - 32.0) / s.meta.scale
             dy = abs(s.gt_box.cy - 32.0) / s.meta.scale
@@ -269,14 +270,14 @@ class TestSamplePair:
     def test_class_prompt_mode(self, twin_seq):
         _, record, _ = twin_seq
         rng = np.random.default_rng(5)
-        s = sample_pair(record, rng, prompt_mode="class")
+        s = sample_pair(record, rng, Config(train_prompt="class"))
         assert s.prompt == "square"
 
     def test_needs_two_frames(self, twin_seq):
         _, record, _ = twin_seq
         single = sd.SequenceRecord("x", record.frame_paths[:1], record.boxes[:1], "p", "c", (128, 128))
         with pytest.raises(ConfigurationError):
-            sample_pair(single, np.random.default_rng(0))
+            sample_pair(single, np.random.default_rng(0), Config())
 
 
 def target_of(record):
@@ -321,7 +322,7 @@ class TestSwapPair:
         rng = np.random.default_rng(6)
         for other in swap_partners(record):
             for _ in range(5):
-                s = sample_swap_pair(record, rng, other)
+                s = sample_swap_pair(record, rng, other, Config())
                 assert any(np.array_equal(s.template, crop) for crop in crops)
 
     def test_prompt_names_the_other_color(self, twin_seq):
@@ -329,7 +330,7 @@ class TestSwapPair:
         target = target_of(record)
         rng = np.random.default_rng(7)
         for other in swap_partners(record):
-            s = sample_swap_pair(record, rng, other)
+            s = sample_swap_pair(record, rng, other, Config())
             assert s.prompt.split() == [other.color if w == target.color else w for w in record.prompt.split()]
             assert target.color not in s.prompt.split()
 
@@ -338,7 +339,7 @@ class TestSwapPair:
         rng = np.random.default_rng(8)
         for other in swap_partners(record):
             for _ in range(20):
-                s = sample_swap_pair(record, rng, other, search_size=64)
+                s = sample_swap_pair(record, rng, other, Config(search_size=64))
                 back = s.meta.box_to_image(s.gt_box)
                 assert s.gt_box.frame == "search-crop"
                 assert any(
@@ -355,7 +356,7 @@ class TestSwapPair:
         )
         rng = np.random.default_rng(9)
         for _ in range(20):
-            s = sample_swap_pair(record, rng, far, search_size=64)
+            s = sample_swap_pair(record, rng, far, Config(search_size=64))
             assert 0.0 <= s.gt_box.cx < 64.0 and 0.0 <= s.gt_box.cy < 64.0
 
 

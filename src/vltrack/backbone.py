@@ -115,32 +115,30 @@ def _ffn(x: Tensor, p: EncoderLayerParams) -> Tensor:
     return p.ffn2(nc.gelu(p.ffn1(x)))
 
 
-def encoder_layer(fx: Tensor, fz: Tensor, p: EncoderLayerParams, heads: int):
-    """One post-norm encoder layer over the concatenated [search; template] sequence.
+def encoder_layer(x: Tensor, p: EncoderLayerParams, heads: int) -> Tensor:
+    """One post-norm encoder layer over the joint (B, N, D) token sequence.
 
-    ``fx`` is (B, N_x, D) and ``fz`` (B, N_z, D). Each residual add is
-    followed by a layernorm, as the update equations read. Returns the
-    streams split back at the search token count.
+    Each residual add is followed by a layernorm, as the update equations
+    read.
     """
-    n_x = fx.shape[1]
-    x = nc.concat([fx, fz], axis=1)
     x = nc.layernorm(x + _mhsa(x, p, heads), p.ln1_gain, p.ln1_bias)
-    x = nc.layernorm(x + _ffn(x, p), p.ln2_gain, p.ln2_bias)
-    out_x = nc.narrow(x, 1, 0, n_x)
-    out_z = nc.narrow(x, 1, n_x, x.shape[1] - n_x)
-    return out_x, out_z
+    return nc.layernorm(x + _ffn(x, p), p.ln2_gain, p.ln2_bias)
 
 
 def forward(hx: Tensor, hz: Tensor, t: Tensor | None, params: BackboneParams, heads: int):
     """Mixup then the full encoder stack; returns last-layer (search, template) tokens.
 
     ``t`` is the reduced language vector; ``None`` runs the language-free
-    path, which matches a zero mixup gate bit for bit.
+    path, which matches a zero mixup gate bit for bit. The streams are
+    concatenated as [search; template] once, before the first layer, and
+    split at the search token count once, after the last.
     """
     if t is None:
         fx, fz = hx, hz
     else:
         fx, fz = modal_mixup(hx, hz, t, params.mixup)
+    n_x = fx.shape[1]
+    x = nc.concat([fx, fz], axis=1)
     for layer in params.layers:
-        fx, fz = encoder_layer(fx, fz, layer, heads)
-    return fx, fz
+        x = encoder_layer(x, layer, heads)
+    return nc.narrow(x, 1, 0, n_x), nc.narrow(x, 1, n_x, x.shape[1] - n_x)

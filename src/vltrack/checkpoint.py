@@ -52,12 +52,15 @@ MODEL_SHAPE_KEYS = (
 # config keys that no longer exist, each with the one value the model still
 # builds; checkpoints written while they existed store them
 RETIRED_KEYS = {
+    "focal_alpha": "2.0",
+    "focal_beta": "4.0",
     "lang_pool": "mean",
     "mean_includes_cls": "true",
     "mixup_shared_linear": "true",
     "norm_placement": "post",
     "text_embed_std": "1.0",
     "token_reduce": "mean",
+    "window_enabled": "true",
 }
 
 

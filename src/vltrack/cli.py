@@ -106,29 +106,27 @@ def _load_model(ckpt_path, cfg_overrides=None):
 def cmd_eval(args) -> int:
     from .pipeline import FanOutLog, evaluate
 
+    if args.oracle_gt:
+        # the ground truth is scored against itself, so no model is built
+        summary, _ = evaluate(None, args.data, Config(), out_dir=args.out, oracle_gt=True)
+        print(json.dumps(summary, sort_keys=True))
+        return 0
+    if not args.ckpt:
+        print("error: CheckpointError: --ckpt is required unless --oracle-gt", file=sys.stderr)
+        return 2
+
     def overrides(cfg: Config) -> Config:
         updates = {}
         if args.prompt_mode:
             updates["eval_prompt"] = args.prompt_mode
         if args.no_window:
-            updates["window_enabled"] = False
+            updates["window_weight"] = 0.0
         return cfg.replace(**updates) if updates else cfg
 
-    if args.oracle_gt:
-        cfg = overrides(_base_config(args))
-        from .model import TrackerModel
-        from .pipeline import resolve_vocab
-
-        model = TrackerModel(cfg, resolve_vocab(cfg))
-    else:
-        if not args.ckpt:
-            print("error: CheckpointError: --ckpt is required unless --oracle-gt", file=sys.stderr)
-            return 2
-        model, cfg = _load_model(args.ckpt, overrides)
+    model, cfg = _load_model(args.ckpt, overrides)
     log = FanOutLog()
-    summary, reports = evaluate(model, args.data, cfg, out_dir=args.out, oracle_gt=args.oracle_gt, log=log)
-    if not args.oracle_gt:
-        print(log.line(sum(r.n_frames - 1 for r in reports.values())))
+    summary, reports = evaluate(model, args.data, cfg, out_dir=args.out, log=log)
+    print(log.line(sum(r.n_frames - 1 for r in reports.values())))
     print(json.dumps(summary, sort_keys=True))
     return 0
 
@@ -175,7 +173,7 @@ def cmd_grad_check(args) -> int:
     from .docsbench import gradient_fidelity
 
     cfg = _apply_overrides(_base_config(args), args, {"seed": "seed"})
-    report = gradient_fidelity(cfg, h=args.h, tol=args.tol)
+    report = gradient_fidelity(cfg)
     for name, entry in report["losses"].items():
         status = "PASS" if entry["passed"] else "FAIL"
         line = f"{status} {name}: max rel err {entry['max_rel_err']:.3e} ({entry['coords']} coords)"
@@ -191,8 +189,18 @@ def cmd_grad_check(args) -> int:
     return 0 if report["passed"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as one ``error: ArgumentError`` line and exit 2.
+
+    Subparsers are made from the parser's own class, so every command inherits it.
+    """
+
+    def error(self, message):
+        self.exit(2, f"error: ArgumentError: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="vltrack", description="Desk-scale vision-language tracker.")
+    parser = _Parser(prog="vltrack", description="Desk-scale vision-language tracker.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write synthetic train/eval datasets")
@@ -227,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--ckpt")
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
     p.add_argument("--prompt-mode", choices=("sentence", "class"))
     p.add_argument("--no-window", action="store_true")
     p.add_argument("--oracle-gt", action="store_true", help="score the ground truth against itself")
@@ -251,8 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grad-check", help="finite-difference check of every loss gradient")
     p.add_argument("--config")
     p.add_argument("--seed", type=int)
-    p.add_argument("--h", type=float, default=1e-6)
-    p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--out", help="write the JSON report here")
     p.set_defaults(func=cmd_grad_check)
     return parser

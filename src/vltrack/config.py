@@ -37,8 +37,6 @@ class Config:
     lambda_l1: float = 5.0
     lambda_cma: float = 1.0
     lambda_ima: float = 1.0
-    focal_alpha: float = 2.0
-    focal_beta: float = 4.0
 
     # training recipe
     lr: float = 4e-4
@@ -53,8 +51,7 @@ class Config:
 
     # evaluation / inference
     eval_prompt: str = "sentence"
-    window_enabled: bool = True
-    window_weight: float = 0.49
+    window_weight: float = 0.49  # 0.0 turns the Hanning window off
 
     # ablations: "none" | "no-mma" (contrastive terms not computed) |
     # "vision-only" (additionally skips the language mixup)
@@ -114,13 +111,8 @@ class Config:
 
     def to_text(self) -> str:
         """Canonical serialization: sorted keys, one per line."""
-        lines = []
-        for f in sorted(dataclasses.fields(self), key=lambda f: f.name):
-            value = getattr(self, f.name)
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            lines.append(f"{f.name}={value}")
-        return "\n".join(lines) + "\n"
+        names = sorted(f.name for f in dataclasses.fields(self))
+        return "".join(f"{name}={getattr(self, name)}\n" for name in names)
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -135,13 +127,6 @@ def _parse_value(field, raw: str):
         return int(raw)
     if field.type in ("float", float):
         return float(raw)
-    if field.type in ("bool", bool):
-        lowered = raw.strip().lower()
-        if lowered in ("true", "1", "yes"):
-            return True
-        if lowered in ("false", "0", "no"):
-            return False
-        raise ConfigurationError(f"bad boolean {raw!r} for {field.name}")
     return raw
 
 

@@ -61,15 +61,9 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(()))
 
-    def tolist(self):
-        return self.data.tolist()
-
     def astype(self, dtype):
         """Dtype-converted copy; gradient history is not carried over."""
         return Tensor(self.data, requires_grad=self.requires_grad, dtype=dtype)
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
@@ -222,7 +216,7 @@ def _unbroadcast(grad, shape):
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
-    return grad.astype(grad.dtype, copy=False)
+    return grad
 
 
 def _promote(*operands):

@@ -123,7 +123,7 @@ def compute_losses(model: TrackerModel, batch: SampleBatch, cfg: Config) -> dict
 
     pred = predicted_boxes_at_cells(fw.head, onehot, cells, grid)
     losses = {
-        "cls": focal_loss(fw.head.score, heat, cfg.focal_alpha, cfg.focal_beta),
+        "cls": focal_loss(fw.head.score, heat),
         "giou": giou_loss_tensor(pred, gt_norm),
         "l1": l1_loss_tensor(pred, gt_norm),
     }
@@ -169,7 +169,7 @@ def total_loss(components: dict, cfg: Config):
 class AdamW:
     """Adam with decoupled weight decay over a named parameter table."""
 
-    def __init__(self, params: dict, lr=4e-4, weight_decay=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: dict, lr: float, weight_decay: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = params
         self.lr = lr
         self.weight_decay = weight_decay
@@ -430,7 +430,6 @@ def track_sequence(
         record.stream_frame(0), (first.cx, first.cy), max(8.0, crop_side_for(first, 2.0)), cfg.template_size, cfg.patch
     )
     template = template[None]
-    window = cfg.window_weight if cfg.window_enabled else 0.0
 
     preds = [first]
     prev = first
@@ -439,7 +438,7 @@ def track_sequence(
             record.stream_frame(t), (prev.cx, prev.cy), max(8.0, crop_side_for(prev, 4.0)), cfg.search_size, cfg.patch
         )
         fw = model.forward(search[None], template, ids, mask, use_language=use_language)
-        box = decode(fw.head, meta, window_weight=window, image_size=record.canvas)
+        box = decode(fw.head, meta, window_weight=cfg.window_weight, image_size=record.canvas)
         preds.append(box)
         prev = box
     return preds
@@ -723,7 +722,7 @@ def twin_follow_counts(model: TrackerModel, record: SequenceRecord, cfg: Config,
     """
     target = next(o for o in record.objects if o.role == "target")
     twin = next(o for o in record.objects if o.role == "twin")
-    preds = track_sequence(model, record, cfg.replace(window_enabled=False), prompt_override=prompt)
+    preds = track_sequence(model, record, cfg.replace(window_weight=0.0), prompt_override=prompt)
     follows_target = follows_twin = 0
     total = len(record) - 1
     for t in range(1, len(record)):

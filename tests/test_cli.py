@@ -1,20 +1,22 @@
 """Config parsing, checkpoint persistence, and the command-line surface."""
 
+import dataclasses
 import json
 import os
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vltrack.checkpoint import load_checkpoint, save_checkpoint
+from vltrack.checkpoint import RETIRED_KEYS, load_checkpoint, save_checkpoint
 from vltrack.cli import main
 from vltrack.config import Config, load_config, parse_config_text
 from vltrack.errors import CheckpointError, ConfigurationError
 from vltrack.model import TrackerModel
 from vltrack.numcore import Tensor, named_stream
-from vltrack.pipeline import AdamW, resolve_vocab
+from vltrack.pipeline import AdamW, evaluate, resolve_vocab
 
 SMALL = ["--config"]  # placeholder to keep lints quiet
 
@@ -52,7 +54,7 @@ class TestConfig:
             parse_config_text("just words\n")
 
     def test_text_roundtrip(self):
-        cfg = Config().replace(layers=2, tau=0.25, window_enabled=False)
+        cfg = Config().replace(layers=2, tau=0.25, window_weight=0.0)
         again = parse_config_text(cfg.to_text())
         assert again == cfg
 
@@ -117,12 +119,20 @@ class TestConfig:
         )
         assert cfg.head_channel_plan == (256, 128, 64)
 
+    def test_readme_table_names_every_key_once(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| key | default | set or backed by |\n", 1)[1].split("\n\n", 1)[0]
+        rows = [line for line in table.splitlines() if line.startswith("| `")]
+        named = [key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+        assert sorted(named) == sorted(f.name for f in dataclasses.fields(Config))
+        assert not set(named) & set(RETIRED_KEYS)
+
 
 class TestCheckpoint:
     def make_parts(self, tmp_path):
         cfg = Config().replace(dim=32, layers=1, heads=2, align_dim=16, head_channels="8,8,8")
         model = TrackerModel(cfg, resolve_vocab(cfg))
-        opt = AdamW(model.named_parameters(), lr=cfg.lr)
+        opt = AdamW(model.named_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
         rng = named_stream(cfg.seed, "train.sampler")
         return cfg, model, opt, rng
 
@@ -134,7 +144,7 @@ class TestCheckpoint:
         state = load_checkpoint(a)
         model2 = TrackerModel(state.config, resolve_vocab(state.config))
         model2.load_state(state.params)
-        opt2 = AdamW(model2.named_parameters(), lr=cfg.lr)
+        opt2 = AdamW(model2.named_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
         opt2.load_state_dict(state.optimizer)
         save_checkpoint(b, state.config, model2, opt2, state.iteration, state.rng_state)
         assert a.read_bytes() == b.read_bytes()
@@ -171,12 +181,15 @@ class TestCheckpoint:
             return old
 
         former = dict(
+            focal_alpha="2.0",
+            focal_beta="4.0",
             lang_pool="mean",
             mean_includes_cls="true",
             mixup_shared_linear="true",
             norm_placement="post",
             text_embed_std="1.0",
             token_reduce="mean",
+            window_enabled="true",
         )
         state = load_checkpoint(with_retired_lines(**former))
         assert state.config == cfg
@@ -184,7 +197,7 @@ class TestCheckpoint:
             assert state.params[name].tobytes() == arr.tobytes()
         model2 = TrackerModel(state.config, resolve_vocab(state.config))
         model2.load_state(state.params)
-        opt2 = AdamW(model2.named_parameters(), lr=cfg.lr)
+        opt2 = AdamW(model2.named_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
         opt2.load_state_dict(state.optimizer)
         resaved = tmp_path / "resaved.aio"
         save_checkpoint(resaved, state.config, model2, opt2, state.iteration, state.rng_state)
@@ -192,6 +205,8 @@ class TestCheckpoint:
 
         with pytest.raises(CheckpointError, match="norm_placement=pre"):
             load_checkpoint(with_retired_lines(**dict(former, norm_placement="pre")))
+        with pytest.raises(CheckpointError, match="window_enabled=false"):
+            load_checkpoint(with_retired_lines(**dict(former, window_enabled="false")))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
@@ -375,7 +390,7 @@ def trained_run(tmp_path_factory):
         "--iters", "4", "--batch", "2", "--quiet",
     ])
     assert code == 0
-    return {"root": root, "data": data, "cfg": cfg, "ckpt": run / "checkpoint.aio", "run": run}
+    return {"root": root, "data": data, "ckpt": run / "checkpoint.aio", "run": run}
 
 
 class TestCliTrain:
@@ -434,10 +449,7 @@ class TestCliTrain:
 class TestCliEval:
     def test_oracle_gt_scores_one(self, trained_run, tmp_path, capsys):
         out = tmp_path / "report"
-        code = main([
-            "eval", "--data", str(trained_run["data"] / "eval"), "--out", str(out),
-            "--oracle-gt", "--config", str(trained_run["cfg"]),
-        ])
+        code = main(["eval", "--data", str(trained_run["data"] / "eval"), "--out", str(out), "--oracle-gt"])
         assert code == 0
         payload = json.loads((out / "report.json").read_text())
         assert payload["summary"] == {"ACC": 1.0, "AUC": 1.0, "P": 1.0, "P_norm": 1.0, "cAUC": 1.0}
@@ -454,6 +466,18 @@ class TestCliEval:
         timing, summary = capsys.readouterr().out.strip().splitlines()
         assert re.fullmatch(r"tracked 5 frames in \d+\.\d s \(\d+ fps, 1 worker\)", timing), timing
         assert json.loads(summary) == payload["summary"]
+
+    def test_no_window_is_a_zero_window_weight(self, trained_run, tmp_path):
+        data, ckpt = str(trained_run["data"] / "eval"), str(trained_run["ckpt"])
+        assert main(["eval", "--data", data, "--ckpt", ckpt, "--out", str(tmp_path / "off"), "--no-window"]) == 0
+        assert main(["eval", "--data", data, "--ckpt", ckpt, "--out", str(tmp_path / "on")]) == 0
+        state = load_checkpoint(ckpt)
+        model = TrackerModel(state.config, resolve_vocab(state.config))
+        model.load_state(state.params)
+        evaluate(model, data, state.config.replace(window_weight=0.0), out_dir=str(tmp_path / "zero"))
+        off = (tmp_path / "off" / "report.json").read_bytes()
+        assert off == (tmp_path / "zero" / "report.json").read_bytes()
+        assert off != (tmp_path / "on" / "report.json").read_bytes()
 
     def test_missing_checkpoint_exits_2(self, trained_run, tmp_path, capsys):
         code = main(["eval", "--data", str(trained_run["data"] / "eval"), "--ckpt", str(tmp_path / "none.aio"), "--out", str(tmp_path / "r")])
@@ -515,6 +539,31 @@ class TestCliTrack:
         out = tmp_path / "pred.txt"
         code = main(["track", "--ckpt", str(trained_run["ckpt"]), "--seq", str(seq), "--out", str(out), "--prompt", "blue circle moving left"])
         assert code == 0
+
+
+class TestCliArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--out", "x", "--no-such-flag"],
+            ["eval"],
+            ["generate", "--out", "x", "--seed", "abc"],
+            ["grad-check", "--tol", "1e-3"],
+        ],
+        ids=["unknown-flag", "missing-required", "bad-int", "removed-flag"],
+    )
+    def test_malformed_command_line_is_a_one_line_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exit_.value.code == 2
+        assert err.startswith("error: ArgumentError: ") and err.count("\n") == 1, err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["grad-check", "--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: vltrack grad-check")
 
 
 class TestCliGradCheck:

@@ -112,11 +112,13 @@ class TestRecipes:
         assert not result.criteria[2].passed
         assert f"{result.command_seconds[1]:.4g}" in result.criteria[2].detail
 
-    def test_failed_command_still_evaluates_every_check(self, tmp_path, capsys):
-        # grad-check exits 1 on a failing loss but still writes its report
+    def test_failed_command_still_evaluates_every_check(self, tmp_path, capsys, monkeypatch):
+        # grad-check exits 1 on a failing loss but still writes its report;
+        # a probe step of 0.5 is far too coarse for the checks to pass
         small = tmp_path / "small.cfg"
         small.write_text("dim=16\nlayers=1\nheads=2\nalign_dim=8\nhead_channels=4,4,4\n")
-        grad_check = f"vltrack grad-check --config {small} --h 0.5 --out {{work}}/g.json"
+        monkeypatch.setattr(vltrack.docsbench, "gradient_fidelity", lambda cfg: gradient_fidelity(cfg, h=0.5))
+        grad_check = f"vltrack grad-check --config {small} --out {{work}}/g.json"
         result = run_temp_recipe(
             tmp_path,
             [grad_check, "vltrack generate --out {work}/data --train-count 1 --eval-count 0 --frames 4"],

@@ -180,11 +180,11 @@ class TestAdamW:
 
     def test_state_roundtrip(self):
         x = Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
-        opt = AdamW({"x": x}, lr=1e-3)
+        opt = AdamW({"x": x}, lr=1e-3, weight_decay=1e-4)
         x.grad = np.array([0.1, 0.2], dtype=np.float32)
         opt.step()
         state = opt.state_dict()
-        other = AdamW({"x": x}, lr=1e-3)
+        other = AdamW({"x": x}, lr=1e-3, weight_decay=1e-4)
         other.load_state_dict(state)
         assert other.step_count == 1
         np.testing.assert_array_equal(other.m["x"], opt.m["x"])
@@ -248,7 +248,7 @@ class TestTrainStep:
         _, vocab, _, batch = small_setup
         one = dataclasses.replace(batch, **{f.name: getattr(batch, f.name)[:1] for f in dataclasses.fields(batch)})
         model = TrackerModel(small_cfg, vocab)
-        opt = AdamW(model.named_parameters(), lr=1e-4)
+        opt = AdamW(model.named_parameters(), lr=1e-4, weight_decay=1e-4)
         before = {k: t.data.tobytes() for k, t in model.named_parameters().items()}
         with pytest.raises(ContractError, match="at least 2"):
             pl.train_step(model, one, opt, small_cfg)
@@ -258,7 +258,7 @@ class TestTrainStep:
         _, vocab, _, batch = small_setup
         model = TrackerModel(small_cfg, vocab)
         model.patch_proj.data[0, 0] = np.nan
-        opt = AdamW(model.named_parameters(), lr=1e-4)
+        opt = AdamW(model.named_parameters(), lr=1e-4, weight_decay=1e-4)
         with pytest.raises(TrainingDiverged) as err:
             pl.train_step(model, batch, opt, small_cfg)
         assert "components" in str(err.value)

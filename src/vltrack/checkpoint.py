@@ -13,7 +13,8 @@ Layout (all integers little-endian):
 Save -> load -> save is byte-identical; loading under a config whose model
 shape disagrees with the stored snapshot fails fast. A config key retired
 from the model loads when it holds the one value still built
-(``RETIRED_KEYS``) and fails otherwise. A save writes a
+(``RETIRED_KEYS``) and fails otherwise; a retired key that never changed a
+parameter or a step is dropped whatever it holds. A save writes a
 temporary file beside the target and renames it over the target, so an
 interrupted save leaves the previous checkpoint as it was.
 """
@@ -50,14 +51,20 @@ MODEL_SHAPE_KEYS = (
 )
 
 # config keys that no longer exist, each with the one value the model still
-# builds; checkpoints written while they existed store them
+# builds, or None where no stored value ever changed a parameter or a step
+# (data and run-directory settings); checkpoints written while they existed
+# store them
 RETIRED_KEYS = {
+    "canvas": None,
+    "data_dir": None,
     "focal_alpha": "2.0",
     "focal_beta": "4.0",
     "lang_pool": "mean",
     "mean_includes_cls": "true",
     "mixup_shared_linear": "true",
     "norm_placement": "post",
+    "num_frames": None,
+    "out_dir": None,
     "text_embed_std": "1.0",
     "token_reduce": "mean",
     "window_enabled": "true",
@@ -78,13 +85,13 @@ def model_signature(cfg: Config) -> dict:
 
 
 def _drop_retired_keys(text: str, path) -> str:
-    """Drop retired keys stored at their one supported value; reject any other value."""
+    """Drop retired keys stored at a value they allow (any, where none is named); reject any other value."""
     kept = []
     for line in text.splitlines(keepends=True):
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in RETIRED_KEYS:
             kept.append(line)
-        elif value != RETIRED_KEYS[key]:
+        elif RETIRED_KEYS[key] is not None and value != RETIRED_KEYS[key]:
             raise CheckpointError(
                 f"{path}: retired config key {key}={value} names a model variant that no longer exists "
                 f"(only {key}={RETIRED_KEYS[key]} loads)"
@@ -125,9 +132,7 @@ def save_checkpoint(path, cfg: Config, model, opt, iteration: int, rng_state: di
     """Write ``model``'s parameters and ``opt``'s AdamW moments (``step_count``, ``m``, ``v``)."""
     params = model.named_parameters()
     names = sorted(params)
-    # run-local paths are not part of the experiment identity; keeping them
-    # would make same-seed checkpoints differ byte-wise across run dirs
-    config_blob = cfg.replace(data_dir="", out_dir="").to_text().encode("utf-8")
+    config_blob = cfg.to_text().encode("utf-8")
     rng_blob = _encode_rng_state(rng_state)
 
     # write beside the target and rename over it, so a crash mid-save leaves

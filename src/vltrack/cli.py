@@ -1,8 +1,8 @@
 """Command-line surface: generate | train | eval | twin-eval | track | grad-check.
 
-Precedence for settings: built-in defaults < --config file < CLI flags; the
-AIO_SEED environment variable overrides the seed last. Every command exits 0
-on success and 2 with a one-line ``error: <kind>: <message>`` otherwise.
+Precedence for settings: built-in defaults < --config file < CLI flags. Every
+command exits 0 on success and 2 with a one-line ``error: <kind>: <message>``
+otherwise.
 """
 
 from __future__ import annotations
@@ -19,19 +19,15 @@ from .errors import VLTrackError
 def _apply_overrides(cfg: Config, args, fields) -> Config:
     updates = {}
     for flag, key in fields.items():
-        value = getattr(args, flag, None)
+        value = getattr(args, flag)
         if value is not None:
             updates[key] = value
-    if updates:
-        cfg = cfg.replace(**updates)
-    if os.environ.get("AIO_SEED"):
-        cfg = cfg.replace(seed=int(os.environ["AIO_SEED"]))
-    return cfg
+    return cfg.replace(**updates) if updates else cfg
 
 
 def _base_config(args) -> Config:
     cfg = Config()
-    if getattr(args, "config", None):
+    if args.config:
         cfg = load_config(args.config, base=cfg)
     return cfg
 
@@ -39,17 +35,16 @@ def _base_config(args) -> Config:
 def cmd_generate(args) -> int:
     from .synthdata import build_manifest, generate, sequence_hash
 
-    cfg = _apply_overrides(_base_config(args), args, {"seed": "seed", "frames": "num_frames", "canvas": "canvas"})
     out = args.out
     if os.path.isdir(out) and os.listdir(out) and not args.force:
         print(f"error: refusing to write into non-empty {out} (use --force)", file=sys.stderr)
         return 2
     splits = [
-        ("train", build_manifest(cfg.seed, args.train_count, "train", args.twin_fraction, cfg.num_frames, cfg.canvas)),
-        ("eval", build_manifest(cfg.seed, args.eval_count, "eval", args.twin_fraction, cfg.num_frames, cfg.canvas)),
+        ("train", build_manifest(args.seed, args.train_count, "train", args.twin_fraction, args.frames, args.canvas)),
+        ("eval", build_manifest(args.seed, args.eval_count, "eval", args.twin_fraction, args.frames, args.canvas)),
     ]
     if args.twin_suite:
-        splits.append(("twin", build_manifest(cfg.seed, args.twin_count, "twin", 1.0, cfg.num_frames, cfg.canvas)))
+        splits.append(("twin", build_manifest(args.seed, args.twin_count, "twin", 1.0, args.frames, args.canvas)))
     for split, scenarios in splits:
         for i, scenario in enumerate(scenarios):
             seq_dir = os.path.join(out, split, f"seq_{i:03d}")
@@ -77,16 +72,11 @@ def cmd_train(args) -> int:
             "lr": "lr",
             "ablate": "ablate",
             "train_prompt": "train_prompt",
-            "data": "data_dir",
-            "out": "out_dir",
         },
     )
-    if not cfg.data_dir:
-        print("error: ConfigurationError: no dataset directory (--data)", file=sys.stderr)
-        return 2
-    # checkpoints store no out_dir, so a resumed run defaults to its checkpoint's directory
-    out_dir = cfg.out_dir or os.path.dirname(args.resume or "") or "."
-    _, ckpt_path, seconds = train(cfg, cfg.data_dir, out_dir, resume=args.resume, quiet=args.quiet)
+    # without --out, a resumed run writes beside its checkpoint
+    out_dir = args.out or os.path.dirname(args.resume or "") or "."
+    _, ckpt_path, seconds = train(cfg, args.data, out_dir, resume=args.resume, quiet=args.quiet)
     print(f"checkpoint {ckpt_path} ({seconds:.1f}s)")
     return 0
 
@@ -111,9 +101,6 @@ def cmd_eval(args) -> int:
         summary, _ = evaluate(None, args.data, Config(), out_dir=args.out, oracle_gt=True)
         print(json.dumps(summary, sort_keys=True))
         return 0
-    if not args.ckpt:
-        print("error: CheckpointError: --ckpt is required unless --oracle-gt", file=sys.stderr)
-        return 2
 
     def overrides(cfg: Config) -> Config:
         updates = {}
@@ -205,20 +192,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write synthetic train/eval datasets")
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--train-count", type=int, default=32)
     p.add_argument("--eval-count", type=int, default=8)
     p.add_argument("--twin-count", type=int, default=8)
     p.add_argument("--twin-fraction", type=float, default=0.5)
     p.add_argument("--twin-suite", action="store_true", help="also write an all-twin eval suite")
-    p.add_argument("--frames", type=int)
-    p.add_argument("--canvas", type=int)
+    p.add_argument("--frames", type=int, default=40)
+    p.add_argument("--canvas", type=int, default=128)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", help="train a tracker")
-    p.add_argument("--data", help="dataset directory")
+    p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--out", help="run directory for checkpoints and logs")
     p.add_argument("--config")
     p.add_argument("--seed", type=int)
@@ -233,11 +219,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="one-pass evaluation with five metrics")
     p.add_argument("--data", required=True)
-    p.add_argument("--ckpt")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--ckpt")
+    source.add_argument("--oracle-gt", action="store_true", help="score the ground truth against itself")
     p.add_argument("--out", required=True)
     p.add_argument("--prompt-mode", choices=("sentence", "class"))
     p.add_argument("--no-window", action="store_true")
-    p.add_argument("--oracle-gt", action="store_true", help="score the ground truth against itself")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("twin-eval", help="twin-suite follow and prompt-swap flip rates")
@@ -264,7 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "oracle_gt", False) and (args.prompt_mode or args.no_window):
+        # the oracle tracks no model, so the model's evaluation settings cannot apply
+        parser.error("argument --oracle-gt: not allowed with --prompt-mode or --no-window")
     try:
         return args.func(args)
     except VLTrackError as exc:

@@ -2,8 +2,7 @@
 
 The file format is plain ``key=value`` lines with ``#`` comments so diffs of
 experiment configs stay readable; no parser dependency. Unknown keys are
-rejected. CLI flags override file values, and the AIO_SEED environment
-variable overrides the seed last.
+rejected. CLI flags override file values.
 """
 
 from __future__ import annotations
@@ -58,11 +57,7 @@ class Config:
     ablate: str = "none"
 
     # data
-    canvas: int = 128
-    num_frames: int = 40
     vocab_file: str = ""  # empty: the generator grammar's builtin vocab
-    data_dir: str = ""
-    out_dir: str = ""
 
     def __post_init__(self):
         self.validate()

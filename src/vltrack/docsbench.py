@@ -65,7 +65,6 @@ def micro_batch(cfg: Config, vocab, n=2):
             twin=True,
             clutter=0.4,
             num_frames=4,
-            canvas=cfg.canvas,
         )
         record = memory_record(scenario, seq_id=f"micro{i}")
         samples.append(sample_pair(record, rng, cfg))

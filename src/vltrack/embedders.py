@@ -50,15 +50,6 @@ class Vocab:
     def id_of(self, word: str) -> int:
         return self._index.get(word, UNK_ID)
 
-    def word_of(self, token_id: int) -> str:
-        if token_id == PAD_ID:
-            return "[PAD]"
-        if token_id == CLS_ID:
-            return "[CLS]"
-        if token_id == UNK_ID:
-            return "[UNK]"
-        return self.words[token_id - RESERVED]
-
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             for word in self.words:

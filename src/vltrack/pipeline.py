@@ -216,13 +216,6 @@ class AdamW:
             update += np.multiply(lr * self.weight_decay, t.data, out=a)
             t.data -= update
 
-    def state_dict(self):
-        return {
-            "step": self.step_count,
-            "m": {k: v.copy() for k, v in self.m.items()},
-            "v": {k: v.copy() for k, v in self.v.items()},
-        }
-
     def load_state_dict(self, state):
         self.step_count = int(state["step"])
         for k in self.m:

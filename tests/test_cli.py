@@ -18,11 +18,8 @@ from vltrack.model import TrackerModel
 from vltrack.numcore import Tensor, named_stream
 from vltrack.pipeline import AdamW, evaluate, resolve_vocab
 
-SMALL = ["--config"]  # placeholder to keep lints quiet
-
-
 def small_config_text():
-    return "dim=32\nlayers=1\nheads=2\nalign_dim=16\nhead_channels=8,8,8\nnum_frames=6\n"
+    return "dim=32\nlayers=1\nheads=2\nalign_dim=16\nhead_channels=8,8,8\n"
 
 
 @pytest.fixture
@@ -45,9 +42,11 @@ class TestConfig:
         cfg = parse_config_text("# comment\nlayers=2\ntau=0.25  # inline\n", base=Config())
         assert cfg.layers == 2 and cfg.tau == 0.25
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigurationError):
-            parse_config_text("no_such_key=1\n")
+    @pytest.mark.parametrize("key", ["no_such_key", "canvas", "num_frames", "data_dir", "out_dir"])
+    def test_unknown_key_rejected(self, key):
+        # the four retired data and run-directory keys are unknown like any other
+        with pytest.raises(ConfigurationError, match=f"unknown key '{key}'"):
+            parse_config_text(f"{key}=1\n")
 
     def test_bad_line_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -181,12 +180,16 @@ class TestCheckpoint:
             return old
 
         former = dict(
+            canvas="256",
+            data_dir="data/train",
             focal_alpha="2.0",
             focal_beta="4.0",
             lang_pool="mean",
             mean_includes_cls="true",
             mixup_shared_linear="true",
             norm_placement="post",
+            num_frames="6",
+            out_dir="run",
             text_embed_std="1.0",
             token_reduce="mean",
             window_enabled="true",
@@ -367,6 +370,14 @@ class TestCliGenerate:
         assert "refusing" in capsys.readouterr().err
         assert main(["generate", "--out", str(out), "--force", "--frames", "4", "--train-count", "1", "--eval-count", "0"]) == 0
 
+    def test_seed_environment_variable_is_ignored(self, tmp_path, capsys, monkeypatch):
+        argv = ["generate", "--seed", "5", "--frames", "4", "--train-count", "2", "--eval-count", "1"]
+        assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
+        plain = [line.split()[1] for line in capsys.readouterr().out.splitlines()]
+        monkeypatch.setenv("AIO_SEED", "9")
+        assert main(argv + ["--out", str(tmp_path / "env")]) == 0
+        assert [line.split()[1] for line in capsys.readouterr().out.splitlines()] == plain
+
     def test_twin_suite_flag(self, tmp_path):
         out = tmp_path / "data"
         main(["generate", "--out", str(out), "--frames", "4", "--train-count", "1", "--eval-count", "0", "--twin-suite", "--twin-count", "2"])
@@ -426,24 +437,12 @@ class TestCliTrain:
         assert load_checkpoint(tmp_path / "run" / "checkpoint.aio").iteration == 6
         assert not (tmp_path / "loss_log.csv").exists() and not (tmp_path / "checkpoint.aio").exists()
 
-    def test_missing_data_dir_is_error(self, small_cfg_file, tmp_path, capsys):
-        assert main(["train", "--config", small_cfg_file, "--out", str(tmp_path)]) == 2
-        assert "error:" in capsys.readouterr().err
-
     def test_ablate_flag_recorded_in_checkpoint(self, tmp_path, small_cfg_file):
         data = tmp_path / "data"
         main(["generate", "--out", str(data), "--frames", "6", "--train-count", "2", "--eval-count", "0"])
         run = tmp_path / "run"
         main(["train", "--config", small_cfg_file, "--data", str(data / "train"), "--out", str(run), "--iters", "0", "--batch", "2", "--ablate", "no-mma", "--quiet"])
         assert load_checkpoint(run / "checkpoint.aio").config.ablate == "no-mma"
-
-    def test_env_seed_override(self, tmp_path, small_cfg_file, monkeypatch):
-        data = tmp_path / "data"
-        main(["generate", "--out", str(data), "--frames", "6", "--train-count", "2", "--eval-count", "0"])
-        run = tmp_path / "run"
-        monkeypatch.setenv("AIO_SEED", "99")
-        main(["train", "--config", small_cfg_file, "--data", str(data / "train"), "--out", str(run), "--iters", "0", "--batch", "2", "--quiet"])
-        assert load_checkpoint(run / "checkpoint.aio").config.seed == 99
 
 
 class TestCliEval:
@@ -549,8 +548,25 @@ class TestCliArguments:
             ["eval"],
             ["generate", "--out", "x", "--seed", "abc"],
             ["grad-check", "--tol", "1e-3"],
+            ["train", "--out", "x"],
+            ["generate", "--config", "f", "--out", "x"],
+            ["eval", "--data", "d", "--out", "o"],
+            ["eval", "--data", "d", "--out", "o", "--oracle-gt", "--ckpt", "/nonexistent.aio"],
+            ["eval", "--data", "d", "--out", "o", "--oracle-gt", "--prompt-mode", "class"],
+            ["eval", "--data", "d", "--out", "o", "--oracle-gt", "--no-window"],
         ],
-        ids=["unknown-flag", "missing-required", "bad-int", "removed-flag"],
+        ids=[
+            "unknown-flag",
+            "missing-required",
+            "bad-int",
+            "removed-flag",
+            "train-without-data",
+            "removed-generate-config",
+            "eval-without-ckpt-or-oracle",
+            "oracle-gt-with-ckpt",
+            "oracle-gt-with-prompt-mode",
+            "oracle-gt-with-no-window",
+        ],
     )
     def test_malformed_command_line_is_a_one_line_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exit_:

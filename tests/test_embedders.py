@@ -72,7 +72,7 @@ class TestTokenize:
 
     def test_idempotent_modulo_case_and_punctuation(self, vocab):
         tp = emb.tokenize("Red circle, moving LEFT", vocab, 8)
-        text = " ".join(vocab.word_of(i) for i, m in zip(tp.ids, tp.mask) if m and i != CLS_ID)
+        text = " ".join(vocab.words[i - emb.RESERVED] for i, m in zip(tp.ids, tp.mask) if m and i != CLS_ID)
         assert emb.tokenize(text, vocab, 8) == tp
 
 

@@ -183,7 +183,8 @@ class TestAdamW:
         opt = AdamW({"x": x}, lr=1e-3, weight_decay=1e-4)
         x.grad = np.array([0.1, 0.2], dtype=np.float32)
         opt.step()
-        state = opt.state_dict()
+        # the fields save_checkpoint writes and load_checkpoint returns
+        state = {"step": opt.step_count, "m": opt.m, "v": opt.v}
         other = AdamW({"x": x}, lr=1e-3, weight_decay=1e-4)
         other.load_state_dict(state)
         assert other.step_count == 1

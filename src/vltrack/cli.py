@@ -40,11 +40,11 @@ def cmd_generate(args) -> int:
         print(f"error: refusing to write into non-empty {out} (use --force)", file=sys.stderr)
         return 2
     splits = [
-        ("train", build_manifest(args.seed, args.train_count, "train", args.twin_fraction, args.frames, args.canvas)),
-        ("eval", build_manifest(args.seed, args.eval_count, "eval", args.twin_fraction, args.frames, args.canvas)),
+        ("train", build_manifest(args.seed, args.train_count, "train", args.frames, args.canvas, args.twin_fraction)),
+        ("eval", build_manifest(args.seed, args.eval_count, "eval", args.frames, args.canvas, args.twin_fraction)),
     ]
     if args.twin_suite:
-        splits.append(("twin", build_manifest(args.seed, args.twin_count, "twin", 1.0, args.frames, args.canvas)))
+        splits.append(("twin", build_manifest(args.seed, args.twin_count, "twin", args.frames, args.canvas, 1.0)))
     for split, scenarios in splits:
         for i, scenario in enumerate(scenarios):
             seq_dir = os.path.join(out, split, f"seq_{i:03d}")

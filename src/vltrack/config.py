@@ -109,10 +109,6 @@ class Config:
         names = sorted(f.name for f in dataclasses.fields(self))
         return "".join(f"{name}={getattr(self, name)}\n" for name in names)
 
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
-
 
 _FIELDS = {f.name: f for f in dataclasses.fields(Config)}
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import Config
 from .errors import VLTrackError
-from .numcore import Tape, grad_check, named_stream, probe_coords
+from .numcore import grad_check, named_stream, probe_coords
 
 RECIPES_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))), "recipes")
 
@@ -81,17 +81,11 @@ def gradient_fidelity(cfg: Config | None = None, h=1e-6, tol=1e-3, coords_per_pa
     sit well inside the smooth neighborhood of the evaluation point (the
     float64 noise floor is still three orders below the tolerance).
 
-    The six checks share their probe forwards, and the report stays
-    bit-identical to six unshared checks: ``compute_losses`` is a
-    deterministic function of the parameters and the fixed batch, so each
-    state of the checked parameters, keyed by the exact bits of every entry
-    that differs from its start, is forwarded once and every check reads its
-    loss (or sums the total) from those components. A forward made while a
-    tape records always runs fresh, so each check differentiates its own.
-    Before the first check, the state of every probe ``grad_check`` will
-    make (``probe_coords``) is forwarded through ``pipeline.map_sequences``,
-    so the probes run in parallel workers where the host allows it; a state
-    no probe reached runs fresh when a check asks for it.
+    The six checks share their probe forwards: every state ``grad_check``
+    would probe (``probe_coords``) is forwarded once, up front, through
+    ``pipeline.map_sequences``, so the probes run in parallel workers where
+    the host allows it. Each check reads its loss from those forwards and
+    runs only its own taped forward and backward.
 
     Returns a JSON-friendly report; each loss names its ``worst``
     coordinate: parameter, flat index, analytic and numeric gradient.
@@ -107,50 +101,33 @@ def gradient_fidelity(cfg: Config | None = None, h=1e-6, tol=1e-3, coords_per_pa
     chosen = [name for name in GRADCHECK_PARAMS if name in params]
     inputs = [params[name] for name in chosen]
     flats = [t.data.reshape(-1) for t in inputs]
-    start = [flat.view(np.int64).copy() for flat in flats]
-    probes = {}  # perturbed state of the checked parameters -> its untaped loss components
-
-    def state_key():
-        state = []
-        for k, (flat, bits0) in enumerate(zip(flats, start)):
-            bits = flat.view(np.int64)
-            state.extend((k, int(i), int(bits[i])) for i in np.flatnonzero(bits != bits0))
-        return tuple(state)
-
-    def components():
-        if Tape.current is not None:
-            return compute_losses(model, batch, cfg)
-        key = state_key()
-        if key not in probes:
-            probes[key] = compute_losses(model, batch, cfg)
-        return probes[key]
 
     def loss_fn(name):
         if name == "total":
-            return lambda *_: total_loss(components(), cfg)[0]
-        return lambda *_: components()[name]
+            return lambda *_: total_loss(compute_losses(model, batch, cfg), cfg)[0]
+        return lambda *_: compute_losses(model, batch, cfg)[name]
 
-    def probe(job):
-        k, idx, value = job
+    def probe(coord):
+        """Every loss, as a float, at ``coord`` moved by +h and then by -h."""
+        k, idx = coord
         keep = flats[k][idx]
-        flats[k][idx] = value
         try:
-            return compute_losses(model, batch, cfg)
+            values = []
+            for value in (keep + h, keep - h):
+                flats[k][idx] = value
+                values.append(total_loss(compute_losses(model, batch, cfg), cfg)[1])
+            return values
         finally:
             flats[k][idx] = keep
 
     started = time.perf_counter()
-    jobs = {}  # probe state -> (input index, flat index, value), set as grad_check sets them
-    for k, idx in probe_coords([t.size for t in inputs], coords_per_param):
-        keep = flats[k][idx]
-        for value in (keep + h, keep - h):
-            flats[k][idx] = value
-            jobs.setdefault(state_key(), (k, idx, value))
-        flats[k][idx] = keep
-    probes.update(zip(jobs, map_sequences(probe, list(jobs.values()))))
+    pairs = map_sequences(probe, probe_coords([t.size for t in inputs], coords_per_param))
     report = {"h": h, "tol": tol, "losses": {}, "params": chosen}
     for name in ("cls", "giou", "l1", "cma", "ima", "total"):
-        result = grad_check(loss_fn(name), inputs, h=h, tol=tol, max_coords_per_input=coords_per_param)
+        probed = [(plus[name], minus[name]) for plus, minus in pairs]
+        result = grad_check(
+            loss_fn(name), inputs, h=h, tol=tol, max_coords_per_input=coords_per_param, probed=probed
+        )
         worst = result.worst
         report["losses"][name] = {
             "max_rel_err": result.max_rel_err,

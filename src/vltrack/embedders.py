@@ -50,11 +50,6 @@ class Vocab:
     def id_of(self, word: str) -> int:
         return self._index.get(word, UNK_ID)
 
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            for word in self.words:
-                fh.write(word + "\n")
-
     @classmethod
     def load(cls, path):
         """Vocab file format: one token per line, line number = id - 3."""

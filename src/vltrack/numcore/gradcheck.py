@@ -72,7 +72,7 @@ def probe_coords(sizes, max_coords_per_input, seed=0) -> list:
     return coords
 
 
-def grad_check(f, inputs, h=1e-3, tol=1e-3, max_coords_per_input=16, seed=0, atol=1e-6):
+def grad_check(f, inputs, h=1e-3, tol=1e-3, max_coords_per_input=16, seed=0, atol=1e-6, probed=None):
     """Compare tape gradients of scalar ``f(*inputs)`` against central differences.
 
     ``inputs`` are the tensors to differentiate with respect to; ``f`` must be
@@ -88,6 +88,10 @@ def grad_check(f, inputs, h=1e-3, tol=1e-3, max_coords_per_input=16, seed=0, ato
     quantization noise on vanishing gradients. A coordinate whose analytic
     or numeric gradient is not finite has a NaN error, fails the check and is
     its ``worst``.
+
+    ``probed``, if given, holds the untaped values ``(f(x+h), f(x-h))`` as
+    floats, one pair per ``probe_coords`` entry in its order, so a caller
+    that forwards the probe states itself leaves ``f`` only the taped call.
     """
     inputs64 = [
         t if t.dtype == np.float64 and t.requires_grad else Tensor(t.data, requires_grad=True, dtype=np.float64)
@@ -95,6 +99,9 @@ def grad_check(f, inputs, h=1e-3, tol=1e-3, max_coords_per_input=16, seed=0, ato
     ]
     for t in inputs64:
         t.grad = None
+    probes = probe_coords([t.size for t in inputs64], max_coords_per_input, seed)
+    if probed is not None and len(probed) != len(probes):
+        raise ContractError(f"grad_check probes {len(probes)} coordinates but got {len(probed)} value pairs")
 
     with Tape() as tape:
         out = f(*inputs64)
@@ -104,15 +111,18 @@ def grad_check(f, inputs, h=1e-3, tol=1e-3, max_coords_per_input=16, seed=0, ato
 
     floor = atol / tol
     coords: list[CoordResult] = []
-    for k, idx in probe_coords([t.size for t in inputs64], max_coords_per_input, seed):
+    for j, (k, idx) in enumerate(probes):
         t = inputs64[k]
-        flat = t.data.reshape(-1)
-        keep = flat[idx]
-        flat[idx] = keep + h
-        f_plus = f(*inputs64).item()
-        flat[idx] = keep - h
-        f_minus = f(*inputs64).item()
-        flat[idx] = keep
+        if probed is not None:
+            f_plus, f_minus = probed[j]
+        else:
+            flat = t.data.reshape(-1)
+            keep = flat[idx]
+            flat[idx] = keep + h
+            f_plus = f(*inputs64).item()
+            flat[idx] = keep - h
+            f_minus = f(*inputs64).item()
+            flat[idx] = keep
         a = float(t.grad.reshape(-1)[idx]) if t.grad is not None else 0.0
         n = (f_plus - f_minus) / (2.0 * h)
         rel = abs(a - n) / max(abs(a), abs(n), floor)

@@ -384,8 +384,8 @@ def memory_record(scenario: Scenario, seq_id: str = "mem") -> SequenceRecord:
     return record
 
 
-def generate(scenario: Scenario, out_dir) -> SequenceRecord:
-    """Write one sequence to ``out_dir`` and return its record.
+def generate(scenario: Scenario, out_dir) -> None:
+    """Write one sequence to ``out_dir``; ``read_lasot_format`` reads it back.
 
     Layout: img/%06d.ppm, groundtruth.txt (corner x,y,w,h per line), nlp.txt
     (one prompt line), meta.json (scenario parameters and every object's
@@ -395,17 +395,12 @@ def generate(scenario: Scenario, out_dir) -> SequenceRecord:
     os.makedirs(img_dir, exist_ok=True)
     frames, tracks = render_sequence(scenario)
 
-    frame_paths = []
     for t, img in enumerate(frames):
-        path = os.path.join(img_dir, f"{t:06d}.ppm")
-        write_ppm(path, img)
-        frame_paths.append(path)
-
-    boxes = [BBox(*b, "image") for b in tracks[0].boxes]
+        write_ppm(os.path.join(img_dir, f"{t:06d}.ppm"), img)
 
     with open(os.path.join(out_dir, "groundtruth.txt"), "w", encoding="ascii") as fh:
-        for b in boxes:
-            fh.write(corner_line(b) + "\n")
+        for b in tracks[0].boxes:
+            fh.write(corner_line(BBox(*b, "image")) + "\n")
     with open(os.path.join(out_dir, "nlp.txt"), "w", encoding="ascii") as fh:
         fh.write(scenario.prompt + "\n")
     meta = {
@@ -431,18 +426,8 @@ def generate(scenario: Scenario, out_dir) -> SequenceRecord:
         json.dump(meta, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
-    return SequenceRecord(
-        seq_id=os.path.basename(os.path.normpath(out_dir)),
-        frame_paths=frame_paths,
-        boxes=boxes,
-        prompt=scenario.prompt,
-        class_word=scenario.class_word,
-        canvas=(scenario.canvas, scenario.canvas),
-        objects=tracks,
-    )
 
-
-def build_manifest(seed: int, count: int, split: str, twin_fraction=0.5, num_frames=40, canvas=128):
+def build_manifest(seed: int, count: int, split: str, num_frames: int, canvas: int, twin_fraction=0.5):
     """Deterministic scenario list for one dataset split.
 
     Colors, shapes, and motions cycle so a small manifest still covers the
@@ -504,7 +489,8 @@ def corner_line(box: BBox) -> str:
 def parse_corner_line(text: str, line: int | None = None) -> BBox:
     """The center box of a corner-format "x,y,w,h" line (tabs also separate).
 
-    A line without four numbers raises ``ParseError``, naming ``line`` when given.
+    A line without four finite numbers raises ``ParseError``, naming ``line``
+    when given.
     """
     parts = text.replace("\t", ",").split(",")
     if len(parts) != 4:
@@ -513,6 +499,8 @@ def parse_corner_line(text: str, line: int | None = None) -> BBox:
         x, y, w, h = (float(p) for p in parts)
     except ValueError:
         raise ParseError(f"non-numeric box {text!r}", line=line) from None
+    if not all(math.isfinite(v) for v in (x, y, w, h)):
+        raise ParseError(f"non-finite box {text!r}", line=line)
     return BBox(x + w / 2, y + h / 2, w, h, "image")
 
 

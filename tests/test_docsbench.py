@@ -231,7 +231,7 @@ class TestGradientFidelityHarness:
         assert not report["passed"]
 
     @staticmethod
-    def unshared_checks(cfg, check=nc.grad_check):
+    def unshared_checks(cfg):
         """Six grad_checks as gradient_fidelity sets them up, each loss on a
         fresh compute_losses forward at every evaluation."""
         cfg = cfg.replace(batch_size=2)
@@ -246,7 +246,9 @@ class TestGradientFidelityHarness:
                 return lambda *_: total_loss(compute_losses(model, batch, cfg), cfg)[0]
             return lambda *_: compute_losses(model, batch, cfg)[name]
 
-        return {name: check(loss_fn(name), inputs, h=1e-6, tol=1e-3, max_coords_per_input=3) for name in LOSSES}
+        return {
+            name: nc.grad_check(loss_fn(name), inputs, h=1e-6, tol=1e-3, max_coords_per_input=3) for name in LOSSES
+        }
 
     @staticmethod
     def count_forwards(monkeypatch):
@@ -288,42 +290,6 @@ class TestGradientFidelityHarness:
         assert taped.count(True) == 6 and taped.count(False) == 2 * coords
         self.assert_same_reports(report, reference)
 
-    @staticmethod
-    def from_probed_state(check):
-        """``check`` with every call after the first started from a state the
-        first one probed: the smallest input's entry 0 moved by +h."""
-        seen = []
-
-        def shifted(f, inputs, h, max_coords_per_input, **kwargs):
-            seen.append(f)
-            smallest = min(inputs, key=lambda t: t.size)
-            assert smallest.size <= max_coords_per_input  # so the first check probes all of it
-            flat = smallest.data.reshape(-1)
-            keep = flat[0]
-            if len(seen) > 1:
-                flat[0] = keep + h
-            try:
-                return check(f, inputs, h=h, max_coords_per_input=max_coords_per_input, **kwargs)
-            finally:
-                flat[0] = keep
-
-        return shifted
-
-    def test_shared_forwards_follow_the_state_not_the_call_order(self, monkeypatch):
-        # Each check after the first starts from a state the first one probed.
-        # Its taped forward must not be served from that probe, and its probes,
-        # all at new states, must not be served the first check's probes in
-        # call order.
-        reference = self.unshared_checks(SMALL, check=self.from_probed_state(nc.grad_check))
-        monkeypatch.setattr(vltrack.docsbench, "grad_check", self.from_probed_state(nc.grad_check))
-        self.force_cpus(monkeypatch, 1)
-        taped = self.count_forwards(monkeypatch)
-        report = gradient_fidelity(SMALL)
-        coords = report["losses"]["cls"]["coords"]
-        # the first check probes its states, the second new ones, the rest reuse the second's
-        assert taped.count(True) == 6 and taped.count(False) == 4 * coords
-        self.assert_same_reports(report, reference)
-
     @fans_out
     def test_probes_forwarded_in_workers_give_the_same_report(self, monkeypatch):
         self.force_cpus(monkeypatch, 1)
@@ -334,13 +300,3 @@ class TestGradientFidelityHarness:
         assert taped == [True] * 6  # every probe ran in a worker
         del alone["runtime_s"], fanned["runtime_s"]
         assert repr(fanned) == repr(alone)  # repr tells every float bit apart
-
-        # the first check's probes come from the workers; the second check's
-        # new states run here once, and the later checks reuse them
-        reference = self.unshared_checks(SMALL, check=self.from_probed_state(nc.grad_check))
-        monkeypatch.setattr(vltrack.docsbench, "grad_check", self.from_probed_state(nc.grad_check))
-        taped = self.count_forwards(monkeypatch)
-        report = gradient_fidelity(SMALL)
-        coords = report["losses"]["cls"]["coords"]
-        assert taped.count(True) == 6 and taped.count(False) == 2 * coords
-        self.assert_same_reports(report, reference)

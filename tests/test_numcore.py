@@ -186,6 +186,35 @@ class TestGradCheck:
         assert probed == [c for c in coords for _ in range(2)]  # +h, then -h
         assert [k for k, _ in coords] == [0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3]
 
+    @staticmethod
+    def cubic_inputs():
+        rng = np.random.default_rng(4)
+        return [Tensor(rng.standard_normal(n), dtype=np.float64, requires_grad=True) for n in (3, 9)]
+
+    @staticmethod
+    def cubic(*ts):
+        return nc.tensor_sum(nc.concat([t * t * t for t in ts], axis=0))
+
+    def test_probed_values_give_the_report_of_probing(self):
+        inputs, h = self.cubic_inputs(), 1e-4
+        probed = []
+        for k, idx in nc.probe_coords([t.size for t in inputs], 4):
+            flat = inputs[k].data.reshape(-1)
+            keep = flat[idx]
+            pair = []
+            for value in (keep + h, keep - h):
+                flat[idx] = value
+                pair.append(self.cubic(*inputs).item())
+            flat[idx] = keep
+            probed.append(tuple(pair))
+        given = nc.grad_check(self.cubic, inputs, h=h, max_coords_per_input=4, probed=probed)
+        assert repr(given) == repr(nc.grad_check(self.cubic, inputs, h=h, max_coords_per_input=4))
+
+    def test_probed_of_the_wrong_length_is_rejected(self):
+        inputs = self.cubic_inputs()
+        with pytest.raises(ContractError, match="probes 7 coordinates but got 6"):
+            nc.grad_check(self.cubic, inputs, max_coords_per_input=4, probed=[(0.0, 0.0)] * 6)
+
 
 def _check(f, tensors, tol=1e-3):
     report = nc.grad_check(f, tensors, h=1e-3, tol=tol, max_coords_per_input=12)

@@ -28,8 +28,8 @@ from vltrack.synthdata import (
 def twin_seq(tmp_path_factory):
     out = tmp_path_factory.mktemp("data") / "seq_twin"
     scenario = Scenario(seed=11, shape="square", color="green", motion="zigzag", distractor_count=2, twin=True, num_frames=10)
-    record = generate(scenario, out)
-    return scenario, record, out
+    generate(scenario, out)
+    return scenario, sd.read_lasot_format(out), out
 
 
 class TestScenario:
@@ -60,10 +60,11 @@ class TestGenerate:
         assert sequence_hash(tmp_path / "a") != sequence_hash(tmp_path / "b")
 
     def test_moving_right_has_strictly_increasing_cx(self, tmp_path):
-        record = generate(
+        generate(
             Scenario(seed=6, shape="circle", color="red", motion="right", distractor_count=0, num_frames=20),
             tmp_path / "seq",
         )
+        record = sd.read_lasot_format(tmp_path / "seq")
         xs = [b.cx for b in record.boxes]
         assert len(xs) == 20
         assert all(b > a for a, b in zip(xs, xs[1:]))
@@ -163,6 +164,17 @@ class TestReader:
             sd.read_lasot_format(seq)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("row", ["nan,nan,nan,nan", "1,2,inf,4"])
+    def test_non_finite_line_names_line_number(self, tmp_path, row):
+        seq = tmp_path / "seq"
+        (seq / "img").mkdir(parents=True)
+        for i in range(2):
+            sd.write_ppm(seq / "img" / f"{i:06d}.ppm", np.zeros((8, 8, 3), dtype=np.uint8))
+        (seq / "groundtruth.txt").write_text(f"1,2,3,4\n{row}\n")
+        with pytest.raises(ParseError, match="non-finite") as err:
+            sd.read_lasot_format(seq)
+        assert err.value.line == 2
+
     def test_missing_nlp_warns_and_degrades(self, tmp_path):
         seq = tmp_path / "seq"
         (seq / "img").mkdir(parents=True)
@@ -173,8 +185,8 @@ class TestReader:
         assert record.prompt == ""
 
     def test_roundtrips_generated_sequence(self, twin_seq):
-        _, record, out = twin_seq
-        again = sd.read_lasot_format(out)
+        scenario, again, _ = twin_seq
+        record = sd.memory_record(scenario)
         assert len(again) == len(record)
         assert again.prompt == record.prompt
         assert again.class_word == record.class_word
@@ -362,20 +374,20 @@ class TestSwapPair:
 
 class TestManifest:
     def test_counts_and_determinism(self):
-        a = sd.build_manifest(7, 32, "train", twin_fraction=0.5)
-        b = sd.build_manifest(7, 32, "train", twin_fraction=0.5)
+        a = sd.build_manifest(7, 32, "train", 40, 128, twin_fraction=0.5)
+        b = sd.build_manifest(7, 32, "train", 40, 128, twin_fraction=0.5)
         assert len(a) == 32
         assert a == b
         assert sum(1 for s in a if s.twin) == 16
 
     def test_full_twin_fraction(self):
-        suite = sd.build_manifest(7, 8, "twin", twin_fraction=1.0)
+        suite = sd.build_manifest(7, 8, "twin", 40, 128, twin_fraction=1.0)
         assert all(s.twin for s in suite)
         assert len({s.color for s in suite}) == 8  # full palette coverage
 
     def test_split_changes_seeds(self):
-        a = sd.build_manifest(7, 4, "train")
-        b = sd.build_manifest(7, 4, "eval")
+        a = sd.build_manifest(7, 4, "train", 40, 128)
+        b = sd.build_manifest(7, 4, "eval", 40, 128)
         assert [s.seed for s in a] != [s.seed for s in b]
 
 

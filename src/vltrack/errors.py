@@ -40,3 +40,7 @@ class CheckpointError(VLTrackError, ValueError):
 
 class TrainingDiverged(VLTrackError, RuntimeError):
     """Training produced a non-finite loss; the message carries the breakdown."""
+
+
+class PeerDied(VLTrackError, RuntimeError):
+    """The forked peer process of a training step exited before it replied."""

@@ -6,6 +6,7 @@ the checkpoint format can address parameters without knowing the structure.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,11 +102,15 @@ class TrackerModel:
             tensor.data = np.ascontiguousarray(arr, dtype=tensor.data.dtype)
 
     def astype(self, dtype) -> "TrackerModel":
-        """Structural clone with parameters cast to ``dtype`` (for checking)."""
-        clone = TrackerModel(self.cfg, self.vocab)
-        for name, tensor in clone.named_parameters().items():
-            tensor.data = self.named_parameters()[name].data.astype(dtype)
-        return clone
+        """Structural clone with parameters cast to ``dtype`` (for checking).
+
+        The clone shares ``cfg`` and ``vocab`` and owns a cast copy of each
+        parameter; it draws nothing from the init streams.
+        """
+        memo = {id(self.cfg): self.cfg, id(self.vocab): self.vocab}
+        for tensor in self.named_parameters().values():
+            memo[id(tensor)] = Tensor(tensor.data.astype(dtype), requires_grad=tensor.requires_grad, dtype=dtype)
+        return copy.deepcopy(self, memo)
 
     # -- forward ------------------------------------------------------------
 

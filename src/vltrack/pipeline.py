@@ -3,19 +3,24 @@
 Loss assembly follows the multi-task recipe: classification (focal) plus the
 weighted regression pair (GIoU + L1) plus the two contrastive alignment
 terms. Training is a single-writer loop with decoupled weight decay, cosine
-learning-rate decay, and global-norm gradient clipping. Evaluation runs each
-sequence once from the first-frame box and scores five metrics; sequences
-are tracked in parallel worker processes where the host allows it.
+learning-rate decay, and global-norm gradient clipping; where the host
+allows it, each step's forward and backward are split over this process and
+one forked peer. Evaluation runs each sequence once from the first-frame box
+and scores five metrics; sequences are tracked in parallel worker processes
+where the host allows it.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
+import mmap
 import os
 import time
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,7 +28,7 @@ from . import numcore as nc
 from .align import cma_loss, ima_loss
 from .config import Config
 from .embedders import Vocab, tokenize
-from .errors import ContractError, TrainingDiverged
+from .errors import ContractError, PeerDied, TrainingDiverged
 from .head import BBox, decode, focal_loss, gaussian_target, giou_loss_tensor, l1_loss_tensor
 from .model import TrackerModel
 from .numcore import Tape, Tensor, named_stream
@@ -109,17 +114,23 @@ def predicted_boxes_at_cells(out, onehot: np.ndarray, cells: np.ndarray, grid: i
     return nc.concat([centers, size], axis=1)
 
 
-def compute_losses(model: TrackerModel, batch: SampleBatch, cfg: Config) -> dict:
-    """Forward the batch and return every loss component as a scalar tensor.
+def forward_batch(model: TrackerModel, batch: SampleBatch, cfg: Config):
+    """The model's forward of ``batch``; language enters the backbone unless the run is vision-only."""
+    return model.forward(
+        batch.search, batch.template, batch.ids, batch.mask, use_language=cfg.ablate != "vision-only"
+    )
 
-    The ablation rule lives here alone: a contrastive term is computed only
-    when ``cfg.ablate`` is "none" and its weight is positive, and language
-    enters the backbone unless the run is vision-only.
+
+def assemble_losses(fw, boxes: np.ndarray, cfg: Config, align=None) -> dict:
+    """Every loss component of the forward ``fw`` of ground truth ``boxes``, as a scalar tensor.
+
+    ``align`` holds the (search, template, language) alignment rows the
+    contrastive terms contrast, by default the forward's own. The ablation
+    rule lives here alone: a contrastive term is computed only when
+    ``cfg.ablate`` is "none" and its weight is positive.
     """
-    use_language = cfg.ablate != "vision-only"
-    fw = model.forward(batch.search, batch.template, batch.ids, batch.mask, use_language=use_language)
     grid = fw.head.grid
-    heat, onehot, cells, gt_norm = build_regression_targets(batch.boxes, grid, cfg.patch)
+    heat, onehot, cells, gt_norm = build_regression_targets(boxes, grid, cfg.patch)
 
     pred = predicted_boxes_at_cells(fw.head, onehot, cells, grid)
     losses = {
@@ -127,12 +138,18 @@ def compute_losses(model: TrackerModel, batch: SampleBatch, cfg: Config) -> dict
         "giou": giou_loss_tensor(pred, gt_norm),
         "l1": l1_loss_tensor(pred, gt_norm),
     }
+    fx, fz, ft = align if align is not None else (fw.align_search, fw.align_template, fw.align_language)
     contrastive = cfg.ablate == "none"
     if contrastive and cfg.lambda_cma > 0:
-        losses["cma"] = cma_loss(fw.align_search, fw.align_template, fw.align_language, cfg.tau, cfg.denominator_mode)
+        losses["cma"] = cma_loss(fx, fz, ft, cfg.tau, cfg.denominator_mode)
     if contrastive and cfg.lambda_ima > 0:
-        losses["ima"] = ima_loss(fw.align_search, fw.align_template, cfg.tau, cfg.denominator_mode)
+        losses["ima"] = ima_loss(fx, fz, cfg.tau, cfg.denominator_mode)
     return losses
+
+
+def compute_losses(model: TrackerModel, batch: SampleBatch, cfg: Config) -> dict:
+    """Forward the whole batch and return every loss component as a scalar tensor."""
+    return assemble_losses(forward_batch(model, batch, cfg), batch.boxes, cfg)
 
 
 def total_loss(components: dict, cfg: Config):
@@ -245,14 +262,22 @@ def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
 
 
 def train_step(model: TrackerModel, batch: SampleBatch, opt: AdamW, cfg: Config, lr=None) -> dict:
-    """One forward/backward/update; aborts with a diagnostic on non-finite loss."""
+    """One forward/backward/update; aborts with a diagnostic on non-finite loss.
+
+    Where ``sequence_workers(2)`` is 2, a batch of two or more rows is split
+    over this process and a forked peer (``sharded_backward``); the update
+    runs here either way.
+    """
     opt.zero_grad()
-    with Tape() as tape:
-        components = compute_losses(model, batch, cfg)
-        total, breakdown = total_loss(components, cfg)
-        if not math.isfinite(breakdown["total"]):
-            raise TrainingDiverged(f"non-finite loss; components: {breakdown}")
-        tape.backward(total)
+    if len(batch) >= 2 and sequence_workers(2) == 2:
+        breakdown = sharded_backward(model, batch, cfg)
+    else:
+        with Tape() as tape:
+            components = compute_losses(model, batch, cfg)
+            total, breakdown = total_loss(components, cfg)
+            if not math.isfinite(breakdown["total"]):
+                raise TrainingDiverged(f"non-finite loss; components: {breakdown}")
+            tape.backward(total)
     breakdown["grad_norm"] = clip_gradients(opt.params, cfg.clip_norm)
     opt.step(lr)
     return breakdown
@@ -322,7 +347,9 @@ def train(cfg: Config, dataset_dir, out_dir, resume=None, quiet=False):
     """Full training run; returns (model, final checkpoint path, seconds).
 
     A step with a non-finite loss raises ``TrainingDiverged`` out of the
-    loop, so the last periodic checkpoint stays on disk untouched.
+    loop, so the last periodic checkpoint stays on disk untouched. The
+    training peer of ``sharded_backward`` is stopped when the run returns or
+    raises.
     """
     from .checkpoint import load_checkpoint, save_checkpoint
 
@@ -346,35 +373,38 @@ def train(cfg: Config, dataset_dir, out_dir, resume=None, quiet=False):
             _truncate_log(log_path, start_iter)
 
     started = time.perf_counter()
-    # rows are flushed as they are written, so a killed run keeps its log
-    with open(log_path, "w" if resume is None else "a", newline="", encoding="ascii") as log_file:
-        writer = csv.writer(log_file)
-        if log_file.tell() == 0:
-            writer.writerow(LOG_COLUMNS)
-            log_file.flush()
-        for it in range(start_iter, cfg.iters):
-            batch = sample_training_batch(records, sampler, cfg, vocab)
-            lr = cosine_lr(cfg.lr, it, cfg.iters)
-            breakdown = train_step(model, batch, opt, cfg, lr)
-            step = it + 1
-            if step % cfg.log_every == 0 or step == cfg.iters:
-                writer.writerow(
-                    [
-                        step,
-                        f"{breakdown['total']:.6f}",
-                        f"{breakdown['cls']:.6f}",
-                        f"{breakdown['giou']:.6f}",
-                        f"{breakdown['l1']:.6f}",
-                        f"{breakdown['cma']:.6f}",
-                        f"{breakdown['ima']:.6f}",
-                    ]
-                )
+    try:
+        # rows are flushed as they are written, so a killed run keeps its log
+        with open(log_path, "w" if resume is None else "a", newline="", encoding="ascii") as log_file:
+            writer = csv.writer(log_file)
+            if log_file.tell() == 0:
+                writer.writerow(LOG_COLUMNS)
                 log_file.flush()
-                if not quiet:
-                    print(f"iter {step}/{cfg.iters} loss {breakdown['total']:.4f} lr {lr:.2e}")
-            if step % cfg.checkpoint_every == 0 and step != cfg.iters:
-                save_checkpoint(ckpt_path, cfg, model, opt, step, sampler.bit_generator.state)
-    save_checkpoint(ckpt_path, cfg, model, opt, cfg.iters, sampler.bit_generator.state)
+            for it in range(start_iter, cfg.iters):
+                batch = sample_training_batch(records, sampler, cfg, vocab)
+                lr = cosine_lr(cfg.lr, it, cfg.iters)
+                breakdown = train_step(model, batch, opt, cfg, lr)
+                step = it + 1
+                if step % cfg.log_every == 0 or step == cfg.iters:
+                    writer.writerow(
+                        [
+                            step,
+                            f"{breakdown['total']:.6f}",
+                            f"{breakdown['cls']:.6f}",
+                            f"{breakdown['giou']:.6f}",
+                            f"{breakdown['l1']:.6f}",
+                            f"{breakdown['cma']:.6f}",
+                            f"{breakdown['ima']:.6f}",
+                        ]
+                    )
+                    log_file.flush()
+                    if not quiet:
+                        print(f"iter {step}/{cfg.iters} loss {breakdown['total']:.4f} lr {lr:.2e}")
+                if step % cfg.checkpoint_every == 0 and step != cfg.iters:
+                    save_checkpoint(ckpt_path, cfg, model, opt, step, sampler.bit_generator.state)
+        save_checkpoint(ckpt_path, cfg, model, opt, cfg.iters, sampler.bit_generator.state)
+    finally:
+        close_peer()
     return model, ckpt_path, time.perf_counter() - started
 
 
@@ -463,7 +493,8 @@ def sequence_workers(n: int) -> int:
     whose CPUs the outer call already counted, and while the model's
     forward is wrapped in place (``__wrapped__`` set, as ``functools.wraps``
     and span tracers do): such a wrapper records into this process, and the
-    calls a worker makes would never reach it.
+    calls a worker makes would never reach it. ``train_step`` splits its
+    batch over two processes by the same rule, where ``n=2`` gives 2.
     """
     if _worker_job is not None or hasattr(TrackerModel.forward, "__wrapped__"):
         return 1
@@ -533,6 +564,202 @@ def map_sequences(fn, items, log: FanOutLog | None = None) -> list:
         log.seconds += time.perf_counter() - started
         log.workers = max(log.workers, workers)
     return results
+
+
+# ---------------------------------------------------------------------------
+# A training step on two cores
+# ---------------------------------------------------------------------------
+
+
+def row_shards(batch: SampleBatch) -> tuple[SampleBatch, SampleBatch]:
+    """Rows [0, ceil(B/2)) and [ceil(B/2), B) of ``batch``."""
+    half = (len(batch) + 1) // 2
+    return tuple(
+        SampleBatch(**{f.name: getattr(batch, f.name)[rows] for f in fields(SampleBatch)})
+        for rows in (slice(0, half), slice(half, None))
+    )
+
+
+def shard_backward(model: TrackerModel, shard: SampleBatch, cfg: Config, rows: int, batch_rows) -> dict:
+    """Back-propagate one row shard's part of the loss of a ``rows``-row batch.
+
+    The part is (n/rows)(L_cls + l_giou L_giou + l_1 L_1) over the shard's n
+    rows plus the contrastive terms over ``batch_rows(own)``: the alignment
+    rows of the whole batch in batch order, with this shard's ``own`` rows
+    among them. Gradients of the parts of both shards sum to the gradient of
+    the whole batch. Returns the part's ``total_loss`` breakdown; a part
+    that is not finite is not back-propagated.
+    """
+    with Tape() as tape:
+        fw = forward_batch(model, shard, cfg)
+        align = batch_rows((fw.align_search, fw.align_template, fw.align_language))
+        components = assemble_losses(fw, shard.boxes, cfg, align)
+        weight = Tensor(len(shard) / rows, dtype=fw.head.score.dtype)
+        for name in ("cls", "giou", "l1"):
+            components[name] = weight * components[name]
+        total, breakdown = total_loss(components, cfg)
+        if math.isfinite(breakdown["total"]):
+            tape.backward(total)
+    return breakdown
+
+
+def merge_parts(parts, cfg: Config) -> dict:
+    """The batch's breakdown from its shards': head losses summed, contrastive terms counted once.
+
+    Raises ``TrainingDiverged`` with the components when the total is not finite.
+    """
+    components = {name: Tensor(sum(part[name] for part in parts), dtype=np.float64) for name in ("cls", "giou", "l1")}
+    components.update((name, Tensor(parts[0][name], dtype=np.float64)) for name in ("cma", "ima"))
+    _, breakdown = total_loss(components, cfg)
+    if not math.isfinite(breakdown["total"]):
+        raise TrainingDiverged(f"non-finite loss; components: {breakdown}")
+    return breakdown
+
+
+def _receive(conn):
+    """The payload of the next message on ``conn``; a message reporting an error raises it."""
+    kind, *payload = conn.recv()
+    if kind == "error":
+        raise payload[0]
+    return payload
+
+
+def _swap_rows(conn, first: bool, own) -> tuple:
+    """The batch's alignment rows: ``own`` and the other shard's rows, traded over ``conn``.
+
+    The other shard's rows enter as constants of the same dtype, after
+    ``own`` when this is the first shard and before it otherwise.
+    """
+    conn.send(("rows", [t.data for t in own]))
+    (other,) = _receive(conn)
+    pairs = [(t, Tensor(x, dtype=t.dtype)) for t, x in zip(own, other)]
+    return tuple(nc.concat(list(pair) if first else pair[::-1]) for pair in pairs)
+
+
+def _shared_arrays(params: dict) -> dict:
+    """A zeroed array shaped like each parameter, all in one anonymous mapping that forked children share."""
+    offsets, size = {}, 0
+    for name, t in params.items():
+        offsets[name] = size
+        size += t.data.nbytes
+    buf = mmap.mmap(-1, size)
+    return {name: np.frombuffer(buf, t.dtype, t.size, offsets[name]).reshape(t.shape) for name, t in params.items()}
+
+
+def _peer_main(conn, parent_end, model, params, grads):
+    """The peer's loop: shard 1 of each step, until its pipe closes."""
+    parent_end.close()
+    set_threads, _ = nc.blas_thread_calls()
+    set_threads(1)
+    tensors = model.named_parameters()
+    for name, t in tensors.items():
+        t.data = params[name]
+    while True:
+        try:
+            shard, cfg, rows = conn.recv()
+        except EOFError:
+            return
+        try:
+            for t in tensors.values():
+                t.grad = None
+            part = shard_backward(model, shard, cfg, rows, functools.partial(_swap_rows, conn, False))
+            for name, t in tensors.items():
+                if t.grad is not None:
+                    grads[name][...] = t.grad
+            reply = ("done", part, [t.grad is not None for t in tensors.values()])
+        except Exception as exc:
+            reply = ("error", exc)
+        try:
+            conn.send(reply)
+        except OSError:  # the parent is gone
+            return
+
+
+class _TrainingPeer:
+    """A forked process that runs shard 1 of every sharded step of one model.
+
+    It reads the parameters from a shared mapping the parent fills before
+    each step, and leaves its gradients in a second one. The parent runs BLAS
+    at one thread while the peer lives.
+    """
+
+    def __init__(self, model: TrackerModel):
+        # imported here, as in map_sequences
+        import multiprocessing
+
+        params = model.named_parameters()
+        self.model = weakref.ref(model)
+        self.params = _shared_arrays(params)
+        self.grads = _shared_arrays(params)
+        context = multiprocessing.get_context("fork")
+        self.conn, child_end = context.Pipe()
+        self.process = context.Process(
+            target=_peer_main, args=(child_end, self.conn, model, self.params, self.grads), daemon=True
+        )
+        self.process.start()
+        child_end.close()
+        set_threads, get_threads = nc.blas_thread_calls()
+        threads = get_threads()
+        set_threads(1)
+        self.close = weakref.finalize(model, self._stop, os.getpid(), set_threads, threads)
+
+    def _stop(self, owner, set_threads, threads):
+        global _peer
+        if os.getpid() != owner:  # a process forked later, whose copy of the model was collected
+            return
+        if _peer is self:
+            _peer = None
+        self.conn.close()
+        self.process.terminate()
+        self.process.join()
+        set_threads(threads)
+
+
+_peer: _TrainingPeer | None = None
+
+
+def close_peer():
+    """Stop the training peer, if one runs."""
+    if _peer is not None:
+        _peer.close()
+
+
+def sharded_backward(model: TrackerModel, batch: SampleBatch, cfg: Config) -> dict:
+    """``shard_backward`` of shard 0 here and of shard 1 in the model's peer, gradients summed here.
+
+    The peer starts at a model's first call and serves it until the next
+    call with another model, until the model is collected, ``close_peer`` or
+    interpreter exit. Each call copies the current parameters to it, so
+    ``load_state`` and edits in place reach it. An error in the peer is
+    raised here with its type and message, and a peer that exits raises
+    ``PeerDied``; either way the peer is stopped, and the next call starts
+    a fresh one. Returns ``merge_parts`` of the two shards.
+    """
+    global _peer
+    params = model.named_parameters()
+    if _peer is None or _peer.model() is not model:
+        close_peer()
+        _peer = _TrainingPeer(model)
+    peer = _peer
+    shards = row_shards(batch)
+    try:
+        for name, t in params.items():
+            np.copyto(peer.params[name], t.data)
+        peer.conn.send((shards[1], cfg, len(batch)))
+        part = shard_backward(model, shards[0], cfg, len(batch), functools.partial(_swap_rows, peer.conn, True))
+        peer_part, peer_has_grad = _receive(peer.conn)
+    except (EOFError, ConnectionError) as exc:
+        peer.close()
+        raise PeerDied(f"the training peer exited with code {peer.process.exitcode} during a step") from exc
+    except BaseException:
+        peer.close()
+        raise
+    for (name, t), has_grad in zip(params.items(), peer_has_grad):
+        if has_grad and t.grad is None:
+            t.grad = peer.grads[name].copy()
+        elif has_grad:
+            t.grad += peer.grads[name]
+    return merge_parts([part, peer_part], cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -118,9 +118,16 @@ class SequenceRecord:
     canvas: tuple  # (W, H)
     objects: list = field(default_factory=list)
     _frames: dict = field(default_factory=dict, repr=False)
+    _visible: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self):
         return len(self.frame_paths)
+
+    def visible_frames(self) -> list:
+        """Indices of the frames whose box has area (w > 0 and h > 0), found once."""
+        if self._visible is None:
+            self._visible = [i for i, box in enumerate(self.boxes) if box.w > 0 and box.h > 0]
+        return self._visible
 
     def frame(self, i) -> np.ndarray:
         """Frame i as uint8 (H, W, 3), cached after first load for random access."""
@@ -637,15 +644,16 @@ class TrainSample:
 
 
 def _frame_pair(record: SequenceRecord, rng: np.random.Generator):
-    """Distinct (template, search) frame indices, uniformly drawn."""
-    n = len(record)
+    """Distinct (template, search) frame indices, uniformly drawn from the visible frames."""
+    visible = record.visible_frames()
+    n = len(visible)
     if n < 2:
-        raise ConfigurationError(f"sequence {record.seq_id} has {n} frames; need at least 2")
-    t_idx = int(rng.integers(n))
-    s_idx = int(rng.integers(n - 1))
-    if s_idx >= t_idx:
-        s_idx += 1
-    return t_idx, s_idx
+        raise ConfigurationError(f"sequence {record.seq_id} has {n} frames with a visible target; need at least 2")
+    t_pos = int(rng.integers(n))
+    s_pos = int(rng.integers(n - 1))
+    if s_pos >= t_pos:
+        s_pos += 1
+    return visible[t_pos], visible[s_pos]
 
 
 def _target_template(record: SequenceRecord, t_idx: int, cfg: Config) -> np.ndarray:

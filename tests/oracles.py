@@ -1,10 +1,11 @@
 """Independent brute-force oracles shared by the test modules.
 
 Everything here is scalar-loop float64 numpy, deliberately ignorant of the
-library's vectorized implementations, except the unfused references at the
-end of the file: tape-recorded versions of numcore's linear, softmax,
-layernorm and conv2d as they were before those ops were fused, kept so the
-fused ops' outputs and gradients can be compared with them.
+library's vectorized implementations, except two groups at the end of the
+file: tape-recorded versions of numcore's linear, softmax, layernorm and
+conv2d as they were before those ops were fused, kept so the fused ops'
+outputs and gradients can be compared with them, and a one-process
+reference of the two-shard training step.
 """
 
 import math
@@ -12,6 +13,7 @@ import math
 import numpy as np
 
 from vltrack import numcore as nc
+from vltrack import pipeline as pl
 from vltrack.numcore.tensor import _conv_geometry, _record, _result, as_tensor
 
 COS_EPS = 1e-8
@@ -188,3 +190,41 @@ def conv2d_reference(x, kernels, stride=1, padding=0):
         return np.ascontiguousarray(gxp[:, :, padding : padding + h, padding : padding + w]), gk
 
     return _record(out, (x, kernels), backward)
+
+
+# ---------------------------------------------------------------------------
+# The two-shard training step, in one process
+# ---------------------------------------------------------------------------
+
+
+def two_shard_backward(model, batch, cfg):
+    """``pipeline.sharded_backward`` without a peer: shard 0, then shard 1, here.
+
+    Each shard's alignment rows come from an untaped forward of that shard,
+    each shard's part is back-propagated alone, and the gradients are summed
+    shard 0 first. Returns the merged breakdown.
+    """
+    shards = pl.row_shards(batch)
+    rows = []
+    for shard in shards:
+        fw = pl.forward_batch(model, shard, cfg)
+        rows.append([fw.align_search.data, fw.align_template.data, fw.align_language.data])
+    params = model.named_parameters()
+    parts, grads = [], []
+    for s, shard in enumerate(shards):
+        for t in params.values():
+            t.grad = None
+
+        def batch_rows(own, s=s):
+            in_order = []
+            for k, t in enumerate(own):
+                blocks = [t if i == s else nc.Tensor(rows[i][k], dtype=t.dtype) for i in range(2)]
+                in_order.append(nc.concat(blocks))
+            return tuple(in_order)
+
+        parts.append(pl.shard_backward(model, shard, cfg, len(batch), batch_rows))
+        grads.append({name: t.grad for name, t in params.items()})
+    for name, t in params.items():
+        g0, g1 = grads[0][name], grads[1][name]
+        t.grad = g1 if g0 is None else g0 if g1 is None else g0 + g1
+    return pl.merge_parts(parts, cfg)

@@ -4,7 +4,7 @@ Criteria 2-5 are unit-level and checked here. Criteria 1, 6, 7 and 8 are
 experiments, each defined by the one recipe in recipes/ that gates it, and
 their tests run that recipe: ``gradcheck-all`` (1), ``twin-disambiguation``
 (6 and 7) and ``determinism`` (8). ``twin-disambiguation`` trains two desk
-models (about 3.5 minutes each on 2 cores) once per session; run the file with
+models (about 1 minute each on 2 cores) once per session; run the file with
 ``pytest tests/test_acceptance.py -v -s`` to watch its commands.
 """
 

@@ -437,6 +437,18 @@ class TestCliTrain:
         assert load_checkpoint(tmp_path / "run" / "checkpoint.aio").iteration == 6
         assert not (tmp_path / "loss_log.csv").exists() and not (tmp_path / "checkpoint.aio").exists()
 
+    def test_frames_without_a_visible_target_are_never_drawn(self, tmp_path, small_cfg_file):
+        data = tmp_path / "data"
+        main(["generate", "--out", str(data), "--frames", "20", "--train-count", "2", "--eval-count", "0"])
+        for gt in sorted((data / "train").glob("*/groundtruth.txt")):
+            lines = gt.read_text().splitlines()
+            gt.write_text("\n".join(lines[:10] + ["0,0,0,0"] * 5 + lines[15:]) + "\n")
+        run = tmp_path / "run"
+        code = main(["train", "--config", small_cfg_file, "--data", str(data / "train"), "--out", str(run), "--iters", "30", "--batch", "4", "--quiet"])
+        assert code == 0
+        rows = (run / "loss_log.csv").read_text().strip().splitlines()
+        assert rows[-1].startswith("30,")
+
     def test_ablate_flag_recorded_in_checkpoint(self, tmp_path, small_cfg_file):
         data = tmp_path / "data"
         main(["generate", "--out", str(data), "--frames", "6", "--train-count", "2", "--eval-count", "0"])

@@ -10,7 +10,11 @@ import time
 import numpy as np
 import pytest
 
+import vltrack.align
+import vltrack.backbone
 import vltrack.docsbench
+import vltrack.head
+import vltrack.model
 import vltrack.pipeline
 from vltrack import numcore as nc
 from vltrack.config import Config
@@ -199,10 +203,23 @@ class TestTwinEval:
 
 
 class TestGradientFidelityHarness:
-    @pytest.fixture(autouse=True)
-    def no_child_left(self):
-        yield
-        assert multiprocessing.active_children() == []
+    def test_float64_clone_copies_the_parameters_without_the_init_streams(self, monkeypatch):
+        cfg = SMALL
+        model = TrackerModel(cfg, resolve_vocab(cfg))
+
+        def no_draws(*args):
+            raise AssertionError("astype drew from an init stream")
+
+        for module in (vltrack.model, vltrack.backbone, vltrack.align, vltrack.head):
+            monkeypatch.setattr(module, "named_stream", no_draws)
+        for dtype in (np.float64, np.float32):
+            clone = model.astype(dtype)
+            assert clone.cfg is model.cfg and clone.vocab is model.vocab
+            params = model.named_parameters()
+            for name, t in clone.named_parameters().items():
+                assert t.data.dtype == dtype and t.requires_grad and t.grad is None, name
+                assert t.data.tobytes() == params[name].data.astype(dtype).tobytes(), name
+                assert not np.shares_memory(t.data, params[name].data), name
 
     def test_micro_batch_shapes(self):
         cfg = Config().replace(batch_size=2)

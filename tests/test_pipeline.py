@@ -2,22 +2,26 @@
 
 import dataclasses
 import functools
+import gc
 import math
 import multiprocessing
 import os
 import re
 import shutil
+import signal
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
-from oracles import center_error_oracle, iou_oracle
+from oracles import center_error_oracle, iou_oracle, two_shard_backward
 
 from vltrack import numcore as nc
 from vltrack import pipeline as pl
 from vltrack import synthdata as sd
 from vltrack.config import Config
-from vltrack.errors import ContractError, TrainingDiverged
+from vltrack.errors import ContractError, PeerDied, TrainingDiverged, VocabularyError
 from vltrack.head import BBox
 from vltrack.model import TrackerModel
 from vltrack.numcore import Tensor, blas
@@ -468,19 +472,15 @@ fans_out = pytest.mark.skipif(
 )
 
 
+@pytest.fixture
+def cpus(monkeypatch):
+    def force(n):
+        monkeypatch.setattr(pl, "usable_cpus", lambda: n)
+
+    return force
+
+
 class TestMapSequences:
-    @pytest.fixture
-    def cpus(self, monkeypatch):
-        def force(n):
-            monkeypatch.setattr(pl, "usable_cpus", lambda: n)
-
-        return force
-
-    @pytest.fixture(autouse=True)
-    def no_child_left(self):
-        yield
-        assert multiprocessing.active_children() == []
-
     @fans_out
     def test_workers_return_results_in_order_at_one_blas_thread(self, cpus):
         cpus(2)
@@ -579,3 +579,194 @@ class TestMapSequences:
         cpus(2)
         with pytest.raises(ContractError, match="sequence seq_001: the first box has no area"):
             pl.evaluate(model, data, small_cfg)
+
+
+def parameter_bytes(model):
+    return {name: t.data.tobytes() for name, t in model.named_parameters().items()}
+
+
+class TestShardedTrainStep:
+    @pytest.fixture
+    def batch_of(self, small_setup, small_cfg):
+        records, vocab, _, _ = small_setup
+
+        def sample(rows, seed=3):
+            cfg = small_cfg.replace(batch_size=rows)
+            return pl.sample_training_batch(records, np.random.default_rng(seed), cfg, vocab)
+
+        return sample
+
+    @pytest.mark.parametrize("ablate, rows", [("none", 4), ("no-mma", 4), ("vision-only", 4), ("none", 3)])
+    def test_float64_shards_give_the_full_batch_gradient(self, small_setup, small_cfg, batch_of, ablate, rows):
+        _, vocab, _, _ = small_setup
+        cfg = small_cfg.replace(ablate=ablate)
+        batch = batch_of(rows)
+        model = TrackerModel(cfg, vocab).astype(np.float64)
+        params = model.named_parameters()
+        with nc.Tape() as tape:
+            total, full = total_loss(pl.compute_losses(model, batch, cfg), cfg)
+            tape.backward(total)
+        expected = {name: t.grad for name, t in params.items()}
+        sharded = two_shard_backward(model, batch, cfg)
+        for name, t in params.items():
+            if expected[name] is None:
+                assert t.grad is None, name
+            else:
+                np.testing.assert_allclose(t.grad, expected[name], rtol=1e-9, atol=1e-15, err_msg=name)
+        assert sharded.keys() == full.keys()
+        for name in full:
+            assert sharded[name] == pytest.approx(full[name], rel=0, abs=1e-12), name
+
+    @fans_out
+    def test_peer_steps_match_the_in_process_reference(self, small_setup, small_cfg, batch_of, cpus):
+        _, vocab, _, _ = small_setup
+        cpus(2)
+        batch = batch_of(4)
+        model = TrackerModel(small_cfg, vocab)
+        opt = AdamW(model.named_parameters(), lr=small_cfg.lr, weight_decay=small_cfg.weight_decay)
+        logged = [pl.train_step(model, batch, opt, small_cfg) for _ in range(3)]
+        assert pl._peer.process.pid != os.getpid() and pl._peer.process.is_alive()
+
+        reference = TrackerModel(small_cfg, vocab)
+        ref_opt = AdamW(reference.named_parameters(), lr=small_cfg.lr, weight_decay=small_cfg.weight_decay)
+        expected = []
+        for _ in range(3):
+            ref_opt.zero_grad()
+            breakdown = two_shard_backward(reference, batch, small_cfg)
+            breakdown["grad_norm"] = pl.clip_gradients(ref_opt.params, small_cfg.clip_norm)
+            ref_opt.step()
+            expected.append(breakdown)
+        assert logged == expected
+        assert parameter_bytes(model) == parameter_bytes(reference)
+
+    def test_one_usable_cpu_runs_the_full_batch_step(self, small_setup, small_cfg, batch_of, cpus):
+        _, vocab, _, _ = small_setup
+        cpus(1)
+        batch = batch_of(4)
+        model = TrackerModel(small_cfg, vocab)
+        opt = AdamW(model.named_parameters(), lr=small_cfg.lr, weight_decay=small_cfg.weight_decay)
+        logged = [pl.train_step(model, batch, opt, small_cfg) for _ in range(3)]
+        assert pl._peer is None and multiprocessing.active_children() == []
+
+        plain = TrackerModel(small_cfg, vocab)
+        plain_opt = AdamW(plain.named_parameters(), lr=small_cfg.lr, weight_decay=small_cfg.weight_decay)
+        expected = []
+        for _ in range(3):
+            plain_opt.zero_grad()
+            with nc.Tape() as tape:
+                total, breakdown = total_loss(pl.compute_losses(plain, batch, small_cfg), small_cfg)
+                tape.backward(total)
+            breakdown["grad_norm"] = pl.clip_gradients(plain_opt.params, small_cfg.clip_norm)
+            plain_opt.step()
+            expected.append(breakdown)
+        assert logged == expected
+        assert parameter_bytes(model) == parameter_bytes(plain)
+
+    @fans_out
+    def test_peer_error_arrives_with_its_type_and_message(self, small_setup, small_cfg, batch_of, cpus):
+        _, vocab, _, _ = small_setup
+        cpus(2)
+        batch = batch_of(4)
+        bad = dataclasses.replace(batch, ids=batch.ids.copy())
+        bad.ids[3, 1] = vocab.size + 5  # row 3 is in shard 1, which only the peer runs
+        model = TrackerModel(small_cfg, vocab)
+        opt = AdamW(model.named_parameters(), lr=1e-3, weight_decay=1e-4)
+        before = parameter_bytes(model)
+        with pytest.raises(VocabularyError, match=f"token id {vocab.size + 5} outside the embedding table"):
+            pl.train_step(model, bad, opt, small_cfg)
+        assert parameter_bytes(model) == before
+        assert pl._peer is None and multiprocessing.active_children() == []
+        pl.train_step(model, batch, opt, small_cfg)
+        assert parameter_bytes(model) != before
+
+    @fans_out
+    def test_a_killed_peer_raises_and_the_next_step_starts_a_fresh_one(self, small_setup, small_cfg, batch_of, cpus):
+        _, vocab, _, _ = small_setup
+        cpus(2)
+        batch = batch_of(4)
+        model = TrackerModel(small_cfg, vocab)
+        opt = AdamW(model.named_parameters(), lr=1e-3, weight_decay=1e-4)
+        pl.train_step(model, batch, opt, small_cfg)
+        killed = pl._peer.process
+        os.kill(killed.pid, signal.SIGKILL)
+        killed.join(timeout=10)
+        assert killed.exitcode == -signal.SIGKILL
+        before = parameter_bytes(model)
+        with pytest.raises(PeerDied, match="exited with code -9"):
+            pl.train_step(model, batch, opt, small_cfg)
+        assert parameter_bytes(model) == before
+        pl.train_step(model, batch, opt, small_cfg)
+        assert pl._peer.process.pid != killed.pid
+        assert parameter_bytes(model) != before
+
+    @fans_out
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("row", [0, 3])
+    def test_a_non_finite_loss_in_either_shard_diverges(self, small_setup, small_cfg, batch_of, cpus, row):
+        _, vocab, _, _ = small_setup
+        cpus(2)
+        batch = batch_of(4)
+        bad = dataclasses.replace(batch, boxes=batch.boxes.copy())
+        bad.boxes[row, 2] = np.inf
+        model = TrackerModel(small_cfg, vocab)
+        opt = AdamW(model.named_parameters(), lr=1e-3, weight_decay=1e-4)
+        before = parameter_bytes(model)
+        with pytest.raises(TrainingDiverged, match="non-finite loss; components"):
+            pl.train_step(model, bad, opt, small_cfg)
+        assert parameter_bytes(model) == before
+        assert pl.train_step(model, batch, opt, small_cfg)["total"] > 0
+
+    @fans_out
+    def test_the_parent_runs_one_blas_thread_while_the_peer_lives(self, small_setup, small_cfg, batch_of, cpus):
+        _, vocab, _, _ = small_setup
+        cpus(2)
+        set_threads, get_threads = nc.blas_thread_calls()
+        default = get_threads()
+        set_threads(2)
+        try:
+            model = TrackerModel(small_cfg, vocab)
+            opt = AdamW(model.named_parameters(), lr=1e-3, weight_decay=1e-4)
+            pl.train_step(model, batch_of(4), opt, small_cfg)
+            assert get_threads() == 1
+            del model, opt
+            gc.collect()
+            assert pl._peer is None and get_threads() == 2
+        finally:
+            set_threads(default)
+
+    @fans_out
+    def test_another_model_replaces_the_peer(self, small_setup, small_cfg, batch_of, cpus):
+        _, vocab, _, _ = small_setup
+        cpus(2)
+        batch = batch_of(4)
+        first, second = TrackerModel(small_cfg, vocab), TrackerModel(small_cfg, vocab)
+        for model in (first, second):
+            pl.train_step(model, batch, AdamW(model.named_parameters(), lr=1e-3, weight_decay=1e-4), small_cfg)
+            assert pl._peer.model() is model
+            assert multiprocessing.active_children() == [pl._peer.process]
+        pl.close_peer()
+        assert pl._peer is None and multiprocessing.active_children() == []
+
+    @fans_out
+    def test_a_peer_left_running_is_stopped_at_exit(self, tiny_dataset):
+        script = """
+import sys
+import numpy as np
+from vltrack import pipeline as pl
+from vltrack.config import Config
+from vltrack.model import TrackerModel
+pl.usable_cpus = lambda: 2
+cfg = Config().replace(dim=32, layers=1, heads=2, align_dim=16, head_channels="8,8,8", batch_size=4)
+vocab = pl.resolve_vocab(cfg)
+batch = pl.sample_training_batch(pl.load_dataset(sys.argv[1]), np.random.default_rng(0), cfg, vocab)
+model = TrackerModel(cfg, vocab)
+pl.train_step(model, batch, pl.AdamW(model.named_parameters(), lr=1e-3, weight_decay=1e-4), cfg)
+print(pl._peer.process.pid)
+"""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pl.__file__)))
+        run = subprocess.run(
+            [sys.executable, "-c", script, str(tiny_dataset)], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert run.returncode == 0 and run.stderr == "", run.stderr
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(run.stdout), 0)

@@ -291,6 +291,36 @@ class TestSamplePair:
         with pytest.raises(ConfigurationError):
             sample_pair(single, np.random.default_rng(0), Config())
 
+    def test_needs_two_frames_with_a_visible_target(self, twin_seq):
+        _, record, _ = twin_seq
+        absent = [BBox(b.cx, b.cy, 0.0, 0.0) for b in record.boxes[1:]]
+        one_visible = dataclasses.replace(record, boxes=record.boxes[:1] + absent, _frames={})
+        with pytest.raises(ConfigurationError, match="sequence seq_twin has 1 frames with a visible target; need at least 2"):
+            sample_pair(one_visible, np.random.default_rng(0), Config())
+
+    def test_draws_only_frames_with_a_visible_target(self, twin_seq):
+        _, record, _ = twin_seq
+        boxes = list(record.boxes)
+        for i in (0, 3, 4, 9):
+            boxes[i] = BBox(boxes[i].cx, boxes[i].cy, 0.0, boxes[i].h)
+        partly = dataclasses.replace(record, boxes=boxes, _frames={})
+        rng = np.random.default_rng(2)
+        drawn = {i for _ in range(200) for i in sd._frame_pair(partly, rng)}
+        assert drawn == {1, 2, 5, 6, 7, 8}
+
+    def test_fully_visible_record_draws_the_old_pairs_and_stream(self, twin_seq):
+        _, record, _ = twin_seq
+
+        def old_frame_pair(rng):
+            n = len(record)
+            t_idx = int(rng.integers(n))
+            s_idx = int(rng.integers(n - 1))
+            return t_idx, s_idx + 1 if s_idx >= t_idx else s_idx
+
+        new_rng, old_rng = np.random.default_rng(6), np.random.default_rng(6)
+        assert [sd._frame_pair(record, new_rng) for _ in range(100)] == [old_frame_pair(old_rng) for _ in range(100)]
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
 
 def target_of(record):
     return next(o for o in record.objects if o.role == "target")

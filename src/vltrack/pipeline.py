@@ -3,17 +3,16 @@
 Loss assembly follows the multi-task recipe: classification (focal) plus the
 weighted regression pair (GIoU + L1) plus the two contrastive alignment
 terms. Training is a single-writer loop with decoupled weight decay, cosine
-learning-rate decay, and global-norm gradient clipping; where the host
-allows it, each step's forward and backward are split over this process and
-one forked peer. Evaluation runs each sequence once from the first-frame box
-and scores five metrics; sequences are tracked in parallel worker processes
-where the host allows it.
+learning-rate decay, and global-norm gradient clipping; each step's forward
+and backward run as two row shards, the second in a forked peer wherever one
+can be forked, to the same bytes on every host. Evaluation runs each
+sequence once from the first-frame box and scores five metrics; sequences
+are tracked in parallel worker processes where the host allows it.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
 import mmap
@@ -262,22 +261,18 @@ def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
 
 
 def train_step(model: TrackerModel, batch: SampleBatch, opt: AdamW, cfg: Config, lr=None) -> dict:
-    """One forward/backward/update; aborts with a diagnostic on non-finite loss.
+    """One forward/backward/update over the batch's two row shards; aborts with a diagnostic on non-finite loss.
 
-    Where ``sequence_workers(2)`` is 2, a batch of two or more rows is split
-    over this process and a forked peer (``sharded_backward``); the update
-    runs here either way.
+    Shard 1 runs in a forked peer (``sharded_backward``) wherever one can be
+    forked; a batch of one row, or a process that cannot fork a peer, runs
+    its shards here (``local_backward``). Both give the same bytes, so the
+    trained model does not depend on the host. The update runs here.
     """
     opt.zero_grad()
-    if len(batch) >= 2 and sequence_workers(2) == 2:
+    if len(batch) >= 2 and can_fork():
         breakdown = sharded_backward(model, batch, cfg)
     else:
-        with Tape() as tape:
-            components = compute_losses(model, batch, cfg)
-            total, breakdown = total_loss(components, cfg)
-            if not math.isfinite(breakdown["total"]):
-                raise TrainingDiverged(f"non-finite loss; components: {breakdown}")
-            tape.backward(total)
+        breakdown = local_backward(model, batch, cfg)
     breakdown["grad_norm"] = clip_gradients(opt.params, cfg.clip_norm)
     opt.step(lr)
     return breakdown
@@ -483,22 +478,27 @@ def usable_cpus() -> int:
 _worker_job = None  # (fn, items) inside a worker process of map_sequences
 
 
+def can_fork() -> bool:
+    """Whether this process may fork helpers that run BLAS at one thread.
+
+    It needs the ``fork`` call and a resolvable OpenBLAS thread call: on a
+    2-CPU host, two workers left at the default BLAS thread count ran at
+    0.26x the speed of one process. A worker of ``map_sequences`` forks
+    nothing, since the outer call already counted its CPUs.
+    """
+    return _worker_job is None and hasattr(os, "fork") and nc.blas_thread_calls() is not None
+
+
 def sequence_workers(n: int) -> int:
     """How many processes ``map_sequences`` runs ``n`` items in.
 
-    One per usable CPU, at most one per item. A single process where the
-    platform cannot fork or numpy's BLAS thread count cannot be set: on a
-    2-CPU host, two workers left at the default BLAS thread count ran at
-    0.26x the speed of one process. Also a single process inside a worker,
-    whose CPUs the outer call already counted, and while the model's
-    forward is wrapped in place (``__wrapped__`` set, as ``functools.wraps``
-    and span tracers do): such a wrapper records into this process, and the
-    calls a worker makes would never reach it. ``train_step`` splits its
-    batch over two processes by the same rule, where ``n=2`` gives 2.
+    One per usable CPU, at most one per item, where ``can_fork``. A single
+    process otherwise, and while the model's forward is wrapped in place
+    (``__wrapped__`` set, as ``functools.wraps`` and span tracers do): such
+    a wrapper records into this process, and the calls a worker makes would
+    never reach it. Training reads neither the CPU count nor the wrapper.
     """
-    if _worker_job is not None or hasattr(TrackerModel.forward, "__wrapped__"):
-        return 1
-    if not hasattr(os, "fork") or nc.blas_thread_calls() is None:
+    if not can_fork() or hasattr(TrackerModel.forward, "__wrapped__"):
         return 1
     return max(1, min(n, usable_cpus()))
 
@@ -567,32 +567,47 @@ def map_sequences(fn, items, log: FanOutLog | None = None) -> list:
 
 
 # ---------------------------------------------------------------------------
-# A training step on two cores
+# A training step in two row shards
 # ---------------------------------------------------------------------------
 
 
-def row_shards(batch: SampleBatch) -> tuple[SampleBatch, SampleBatch]:
-    """Rows [0, ceil(B/2)) and [ceil(B/2), B) of ``batch``."""
+def row_shards(batch: SampleBatch) -> tuple[SampleBatch, ...]:
+    """Rows [0, ceil(B/2)) and [ceil(B/2), B) of ``batch``; a batch of one row is a single shard."""
     half = (len(batch) + 1) // 2
-    return tuple(
-        SampleBatch(**{f.name: getattr(batch, f.name)[rows] for f in fields(SampleBatch)})
-        for rows in (slice(0, half), slice(half, None))
-    )
+    bounds = (slice(0, half), slice(half, None)) if len(batch) >= 2 else (slice(None),)
+    return tuple(SampleBatch(**{f.name: getattr(batch, f.name)[rows] for f in fields(SampleBatch)}) for rows in bounds)
 
 
-def shard_backward(model: TrackerModel, shard: SampleBatch, cfg: Config, rows: int, batch_rows) -> dict:
-    """Back-propagate one row shard's part of the loss of a ``rows``-row batch.
+def shard_forward(model: TrackerModel, shard: SampleBatch, cfg: Config) -> tuple:
+    """The first phase of a shard's step: (tape, forward, alignment rows).
 
-    The part is (n/rows)(L_cls + l_giou L_giou + l_1 L_1) over the shard's n
-    rows plus the contrastive terms over ``batch_rows(own)``: the alignment
-    rows of the whole batch in batch order, with this shard's ``own`` rows
-    among them. Gradients of the parts of both shards sum to the gradient of
-    the whole batch. Returns the part's ``total_loss`` breakdown; a part
-    that is not finite is not back-propagated.
+    The forward of ``shard`` is recorded on a tape of its own, which
+    ``shard_backward`` completes; the (search, template, language) alignment
+    rows are the shard's part of the rows the batch contrasts.
     """
     with Tape() as tape:
         fw = forward_batch(model, shard, cfg)
-        align = batch_rows((fw.align_search, fw.align_template, fw.align_language))
+    return tape, fw, (fw.align_search, fw.align_template, fw.align_language)
+
+
+def shard_backward(taped, shard: SampleBatch, cfg: Config, rows: int, index: int, other=None) -> dict:
+    """The second phase: back-propagate shard ``index``'s part of the loss of a ``rows``-row batch.
+
+    ``taped`` is the shard's ``shard_forward``, and ``other`` holds the other
+    shard's alignment rows as arrays (None when the batch is one shard). The
+    part is (n/rows)(L_cls + l_giou L_giou + l_1 L_1) over the shard's n rows
+    plus the contrastive terms over the alignment rows of the whole batch in
+    batch order: the other shard's rows enter as constants of the same
+    dtype, after this shard's own in shard 0 and before them in shard 1.
+    Gradients of the parts of both shards sum to the gradient of the whole
+    batch. Returns the part's ``total_loss`` breakdown; a part that is not
+    finite is not back-propagated.
+    """
+    tape, fw, align = taped
+    with tape:
+        if other is not None:
+            pairs = [(t, Tensor(x, dtype=t.dtype)) for t, x in zip(align, other)]
+            align = tuple(nc.concat(pair if index == 0 else pair[::-1]) for pair in pairs)
         components = assemble_losses(fw, shard.boxes, cfg, align)
         weight = Tensor(len(shard) / rows, dtype=fw.head.score.dtype)
         for name in ("cls", "giou", "l1"):
@@ -616,6 +631,51 @@ def merge_parts(parts, cfg: Config) -> dict:
     return breakdown
 
 
+def add_gradients(params: dict, grads: dict):
+    """Add shard 1's gradients ``grads`` (None where it has none) to shard 0's, held in ``params``."""
+    for name, t in params.items():
+        g = grads[name]
+        if g is None:
+            continue
+        if t.grad is None:
+            t.grad = g.copy()
+        else:
+            t.grad += g
+
+
+def local_backward(model: TrackerModel, batch: SampleBatch, cfg: Config) -> dict:
+    """``sharded_backward`` with both shards run here, to the same bytes.
+
+    Both shards are forwarded, each on its own tape; shard 1 is
+    back-propagated first and its gradients set aside, then shard 0, and
+    ``add_gradients`` sums them as it sums the peer's. BLAS runs at one
+    thread, as in the peer, wherever the thread call resolves. A batch of
+    one row is a single shard, whose part is the whole batch's loss.
+    """
+    shards = row_shards(batch)
+    calls = nc.blas_thread_calls()
+    if calls is not None:
+        set_threads, get_threads = calls
+        threads = get_threads()
+        set_threads(1)
+    try:
+        taped = [shard_forward(model, shard, cfg) for shard in shards]
+        if len(shards) == 1:
+            return merge_parts([shard_backward(taped[0], shards[0], cfg, len(batch), 0)], cfg)
+        rows0, rows1 = ([t.data for t in align] for _, _, align in taped)
+        params = model.named_parameters()
+        last = shard_backward(taped[1], shards[1], cfg, len(batch), 1, rows0)
+        grads = {}
+        for name, t in params.items():
+            grads[name], t.grad = t.grad, None
+        first = shard_backward(taped[0], shards[0], cfg, len(batch), 0, rows1)
+        add_gradients(params, grads)
+        return merge_parts([first, last], cfg)
+    finally:
+        if calls is not None:
+            set_threads(threads)
+
+
 def _receive(conn):
     """The payload of the next message on ``conn``; a message reporting an error raises it."""
     kind, *payload = conn.recv()
@@ -624,16 +684,12 @@ def _receive(conn):
     return payload
 
 
-def _swap_rows(conn, first: bool, own) -> tuple:
-    """The batch's alignment rows: ``own`` and the other shard's rows, traded over ``conn``.
-
-    The other shard's rows enter as constants of the same dtype, after
-    ``own`` when this is the first shard and before it otherwise.
-    """
-    conn.send(("rows", [t.data for t in own]))
+def _traded_shard(conn, model: TrackerModel, shard: SampleBatch, cfg: Config, rows: int, index: int) -> dict:
+    """Both phases of shard ``index`` of a two-process step; the alignment rows are traded over ``conn``."""
+    taped = shard_forward(model, shard, cfg)
+    conn.send(("rows", [t.data for t in taped[2]]))
     (other,) = _receive(conn)
-    pairs = [(t, Tensor(x, dtype=t.dtype)) for t, x in zip(own, other)]
-    return tuple(nc.concat(list(pair) if first else pair[::-1]) for pair in pairs)
+    return shard_backward(taped, shard, cfg, rows, index, other)
 
 
 def _shared_arrays(params: dict) -> dict:
@@ -662,7 +718,7 @@ def _peer_main(conn, parent_end, model, params, grads):
         try:
             for t in tensors.values():
                 t.grad = None
-            part = shard_backward(model, shard, cfg, rows, functools.partial(_swap_rows, conn, False))
+            part = _traded_shard(conn, model, shard, cfg, rows, 1)
             for name, t in tensors.items():
                 if t.grad is not None:
                     grads[name][...] = t.grad
@@ -725,11 +781,15 @@ def close_peer():
 
 
 def sharded_backward(model: TrackerModel, batch: SampleBatch, cfg: Config) -> dict:
-    """``shard_backward`` of shard 0 here and of shard 1 in the model's peer, gradients summed here.
+    """Shard 0's two phases here and shard 1's in the model's peer; ``add_gradients`` sums the gradients here.
 
-    The peer starts at a model's first call and serves it until the next
-    call with another model, until the model is collected, ``close_peer`` or
-    interpreter exit. Each call copies the current parameters to it, so
+    For a batch of at least two rows where ``can_fork``; the CPU count does
+    not matter, and on one CPU the two processes take turns on it. A wrapper
+    of the model's forward sees shard 0's forward only: the peer, forked
+    with a copy of the wrapper, keeps what its copy records. The peer starts
+    at a model's first call and serves it until the next call with another
+    model, until the model is collected, ``close_peer`` or interpreter
+    exit. Each call copies the current parameters to it, so
     ``load_state`` and edits in place reach it. An error in the peer is
     raised here with its type and message, and a peer that exits raises
     ``PeerDied``; either way the peer is stopped, and the next call starts
@@ -746,7 +806,7 @@ def sharded_backward(model: TrackerModel, batch: SampleBatch, cfg: Config) -> di
         for name, t in params.items():
             np.copyto(peer.params[name], t.data)
         peer.conn.send((shards[1], cfg, len(batch)))
-        part = shard_backward(model, shards[0], cfg, len(batch), functools.partial(_swap_rows, peer.conn, True))
+        part = _traded_shard(peer.conn, model, shards[0], cfg, len(batch), 0)
         peer_part, peer_has_grad = _receive(peer.conn)
     except (EOFError, ConnectionError) as exc:
         peer.close()
@@ -754,11 +814,7 @@ def sharded_backward(model: TrackerModel, batch: SampleBatch, cfg: Config) -> di
     except BaseException:
         peer.close()
         raise
-    for (name, t), has_grad in zip(params.items(), peer_has_grad):
-        if has_grad and t.grad is None:
-            t.grad = peer.grads[name].copy()
-        elif has_grad:
-            t.grad += peer.grads[name]
+    add_gradients(params, {name: g if has else None for (name, g), has in zip(peer.grads.items(), peer_has_grad)})
     return merge_parts([part, peer_part], cfg)
 
 

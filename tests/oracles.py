@@ -201,8 +201,8 @@ def two_shard_backward(model, batch, cfg):
     """``pipeline.sharded_backward`` without a peer: shard 0, then shard 1, here.
 
     Each shard's alignment rows come from an untaped forward of that shard,
-    each shard's part is back-propagated alone, and the gradients are summed
-    shard 0 first. Returns the merged breakdown.
+    each shard's part is forwarded again and back-propagated alone, and the
+    gradients are summed shard 0 first. Returns the merged breakdown.
     """
     shards = pl.row_shards(batch)
     rows = []
@@ -214,15 +214,7 @@ def two_shard_backward(model, batch, cfg):
     for s, shard in enumerate(shards):
         for t in params.values():
             t.grad = None
-
-        def batch_rows(own, s=s):
-            in_order = []
-            for k, t in enumerate(own):
-                blocks = [t if i == s else nc.Tensor(rows[i][k], dtype=t.dtype) for i in range(2)]
-                in_order.append(nc.concat(blocks))
-            return tuple(in_order)
-
-        parts.append(pl.shard_backward(model, shard, cfg, len(batch), batch_rows))
+        parts.append(pl.shard_backward(pl.shard_forward(model, shard, cfg), shard, cfg, len(batch), s, rows[1 - s]))
         grads.append({name: t.grad for name, t in params.items()})
     for name, t in params.items():
         g0, g1 = grads[0][name], grads[1][name]

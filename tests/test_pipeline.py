@@ -20,6 +20,7 @@ from oracles import center_error_oracle, iou_oracle, two_shard_backward
 from vltrack import numcore as nc
 from vltrack import pipeline as pl
 from vltrack import synthdata as sd
+from vltrack.cli import main
 from vltrack.config import Config
 from vltrack.errors import ContractError, PeerDied, TrainingDiverged, VocabularyError
 from vltrack.head import BBox
@@ -585,6 +586,31 @@ def parameter_bytes(model):
     return {name: t.data.tobytes() for name, t in model.named_parameters().items()}
 
 
+def new_run(cfg, vocab):
+    model = TrackerModel(cfg, vocab)
+    return model, AdamW(model.named_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+
+
+def reference_steps(model, opt, batch, cfg, steps=3):
+    """``steps`` steps of ``oracles.two_shard_backward``, clipping and AdamW; their breakdowns."""
+    logged = []
+    for _ in range(steps):
+        opt.zero_grad()
+        breakdown = two_shard_backward(model, batch, cfg)
+        breakdown["grad_norm"] = pl.clip_gradients(opt.params, cfg.clip_norm)
+        opt.step()
+        logged.append(breakdown)
+    return logged
+
+
+def force_in_process(monkeypatch, how):
+    """Take away what forking a training peer needs: the ``fork`` call, or the OpenBLAS thread call."""
+    if how == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(blas, "THREAD_CALLS", (("no_such_set_threads", "no_such_get_threads"),))
+
+
 class TestShardedTrainStep:
     @pytest.fixture
     def batch_of(self, small_setup, small_cfg):
@@ -618,57 +644,124 @@ class TestShardedTrainStep:
             assert sharded[name] == pytest.approx(full[name], rel=0, abs=1e-12), name
 
     @fans_out
-    def test_peer_steps_match_the_in_process_reference(self, small_setup, small_cfg, batch_of, cpus):
+    def test_peer_steps_match_the_in_process_reference(self, small_setup, small_cfg, batch_of):
         _, vocab, _, _ = small_setup
-        cpus(2)
         batch = batch_of(4)
-        model = TrackerModel(small_cfg, vocab)
-        opt = AdamW(model.named_parameters(), lr=small_cfg.lr, weight_decay=small_cfg.weight_decay)
+        model, opt = new_run(small_cfg, vocab)
         logged = [pl.train_step(model, batch, opt, small_cfg) for _ in range(3)]
         assert pl._peer.process.pid != os.getpid() and pl._peer.process.is_alive()
-
-        reference = TrackerModel(small_cfg, vocab)
-        ref_opt = AdamW(reference.named_parameters(), lr=small_cfg.lr, weight_decay=small_cfg.weight_decay)
-        expected = []
-        for _ in range(3):
-            ref_opt.zero_grad()
-            breakdown = two_shard_backward(reference, batch, small_cfg)
-            breakdown["grad_norm"] = pl.clip_gradients(ref_opt.params, small_cfg.clip_norm)
-            ref_opt.step()
-            expected.append(breakdown)
-        assert logged == expected
+        reference, ref_opt = new_run(small_cfg, vocab)
+        assert logged == reference_steps(reference, ref_opt, batch, small_cfg)
         assert parameter_bytes(model) == parameter_bytes(reference)
 
-    def test_one_usable_cpu_runs_the_full_batch_step(self, small_setup, small_cfg, batch_of, cpus):
+    @fans_out
+    def test_one_usable_cpu_still_starts_the_peer(self, small_setup, small_cfg, batch_of, cpus):
         _, vocab, _, _ = small_setup
-        cpus(1)
         batch = batch_of(4)
-        model = TrackerModel(small_cfg, vocab)
-        opt = AdamW(model.named_parameters(), lr=small_cfg.lr, weight_decay=small_cfg.weight_decay)
-        logged = [pl.train_step(model, batch, opt, small_cfg) for _ in range(3)]
-        assert pl._peer is None and multiprocessing.active_children() == []
+        runs = {}
+        for n in (1, 2):
+            cpus(n)
+            model, opt = new_run(small_cfg, vocab)
+            logged = [pl.train_step(model, batch, opt, small_cfg) for _ in range(3)]
+            assert pl._peer.model() is model and pl._peer.process.is_alive()
+            runs[n] = logged, parameter_bytes(model)
+        assert runs[1] == runs[2]
 
-        plain = TrackerModel(small_cfg, vocab)
-        plain_opt = AdamW(plain.named_parameters(), lr=small_cfg.lr, weight_decay=small_cfg.weight_decay)
-        expected = []
-        for _ in range(3):
-            plain_opt.zero_grad()
-            with nc.Tape() as tape:
-                total, breakdown = total_loss(pl.compute_losses(plain, batch, small_cfg), small_cfg)
-                tape.backward(total)
-            breakdown["grad_norm"] = pl.clip_gradients(plain_opt.params, small_cfg.clip_norm)
-            plain_opt.step()
-            expected.append(breakdown)
-        assert logged == expected
+    @fans_out
+    @pytest.mark.parametrize("how", ["no-fork", "no-blas-call"])
+    def test_the_in_process_path_matches_the_peer_bit_for_bit(self, small_setup, small_cfg, batch_of, monkeypatch, how):
+        _, vocab, _, _ = small_setup
+        batch = batch_of(4)
+        peer_model, peer_opt = new_run(small_cfg, vocab)
+        on_peer = [pl.train_step(peer_model, batch, peer_opt, small_cfg) for _ in range(3)]
+        pl.close_peer()
+        reference, ref_opt = new_run(small_cfg, vocab)
+        expected = reference_steps(reference, ref_opt, batch, small_cfg)
+
+        set_threads, get_threads = nc.blas_thread_calls()
+        default = get_threads()
+        forward = TrackerModel.forward
+        threads_seen = []
+
+        def recording(*args, **kwargs):
+            threads_seen.append(get_threads())
+            return forward(*args, **kwargs)
+
+        set_threads(2)
+        try:
+            force_in_process(monkeypatch, how)
+            monkeypatch.setattr(TrackerModel, "forward", recording)
+            model, opt = new_run(small_cfg, vocab)
+            logged = [pl.train_step(model, batch, opt, small_cfg) for _ in range(3)]
+            assert pl._peer is None and multiprocessing.active_children() == []
+            # one BLAS thread during the step where the call resolves, the caller's count again after it
+            assert threads_seen == [1 if how == "no-fork" else 2] * 6 and get_threads() == 2
+        finally:
+            set_threads(default)
+        assert logged == on_peer == expected
+        assert parameter_bytes(model) == parameter_bytes(peer_model) == parameter_bytes(reference)
+
+    def test_a_batch_of_one_steps_like_the_full_batch(self, small_setup, small_cfg):
+        records, vocab, _, _ = small_setup
+        cfg = small_cfg.replace(ablate="no-mma", batch_size=1)
+        batch = pl.sample_training_batch(records, np.random.default_rng(3), cfg, vocab)
+        model, opt = new_run(cfg, vocab)
+        pl.train_step(model, batch, opt, cfg)
+        assert pl._peer is None
+        plain, plain_opt = new_run(cfg, vocab)
+        plain_opt.zero_grad()
+        with nc.Tape() as tape:
+            total, _ = total_loss(pl.compute_losses(plain, batch, cfg), cfg)
+            tape.backward(total)
+        pl.clip_gradients(plain_opt.params, cfg.clip_norm)
+        plain_opt.step()
         assert parameter_bytes(model) == parameter_bytes(plain)
 
     @fans_out
-    def test_peer_error_arrives_with_its_type_and_message(self, small_setup, small_cfg, batch_of, cpus):
+    def test_a_wrapped_forward_sees_one_forward_per_step_beside_the_peer(
+        self, small_setup, small_cfg, batch_of, monkeypatch
+    ):
         _, vocab, _, _ = small_setup
-        cpus(2)
+        forward = TrackerModel.forward
+        callers = []
+
+        @functools.wraps(forward)
+        def counted(*args, **kwargs):
+            callers.append(os.getpid())
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(TrackerModel, "forward", counted)
+        model, opt = new_run(small_cfg, vocab)
+        for step in (1, 2, 3):
+            pl.train_step(model, batch_of(4), opt, small_cfg)
+            assert pl._peer.model() is model and pl._peer.process.is_alive()
+            assert callers == [os.getpid()] * step
+
+    @fans_out
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity calls")
+    def test_training_bytes_do_not_depend_on_the_cpu_count(self, tmp_path):
+        data = tmp_path / "data"
+        generate_args = ["--train-count", "2", "--eval-count", "1", "--seed", "5", "--frames", "12"]
+        assert main(["generate", "--out", str(data), *generate_args]) == 0
+        one_cpu = {min(os.sched_getaffinity(0))}
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pl.__file__)))
+        script = "import sys; from vltrack.cli import main; sys.exit(main(sys.argv[1:]))"
+        for name, pin in (("one", lambda: os.sched_setaffinity(0, one_cpu)), ("all", None)):
+            run = subprocess.run(
+                [sys.executable, "-c", script, "train", "--data", str(data / "train"), "--out", str(tmp_path / name),
+                 "--iters", "8", "--seed", "3", "--quiet"],
+                env=env, preexec_fn=pin, capture_output=True, text=True, timeout=300,
+            )
+            assert run.returncode == 0, run.stderr
+        for name in ("checkpoint.aio", "loss_log.csv"):
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "all" / name).read_bytes(), name
+
+    @fans_out
+    def test_peer_error_arrives_with_its_type_and_message(self, small_setup, small_cfg, batch_of):
+        _, vocab, _, _ = small_setup
         batch = batch_of(4)
         bad = dataclasses.replace(batch, ids=batch.ids.copy())
-        bad.ids[3, 1] = vocab.size + 5  # row 3 is in shard 1, which only the peer runs
+        bad.ids[3, 1] = vocab.size + 5  # row 3 is in shard 1, which the peer runs where there is one
         model = TrackerModel(small_cfg, vocab)
         opt = AdamW(model.named_parameters(), lr=1e-3, weight_decay=1e-4)
         before = parameter_bytes(model)
@@ -679,10 +772,15 @@ class TestShardedTrainStep:
         pl.train_step(model, batch, opt, small_cfg)
         assert parameter_bytes(model) != before
 
+    def test_an_in_process_shard_1_error_arrives_with_its_type_and_message(
+        self, small_setup, small_cfg, batch_of, monkeypatch
+    ):
+        force_in_process(monkeypatch, "no-fork")
+        self.test_peer_error_arrives_with_its_type_and_message(small_setup, small_cfg, batch_of)
+
     @fans_out
-    def test_a_killed_peer_raises_and_the_next_step_starts_a_fresh_one(self, small_setup, small_cfg, batch_of, cpus):
+    def test_a_killed_peer_raises_and_the_next_step_starts_a_fresh_one(self, small_setup, small_cfg, batch_of):
         _, vocab, _, _ = small_setup
-        cpus(2)
         batch = batch_of(4)
         model = TrackerModel(small_cfg, vocab)
         opt = AdamW(model.named_parameters(), lr=1e-3, weight_decay=1e-4)
@@ -702,9 +800,8 @@ class TestShardedTrainStep:
     @fans_out
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.parametrize("row", [0, 3])
-    def test_a_non_finite_loss_in_either_shard_diverges(self, small_setup, small_cfg, batch_of, cpus, row):
+    def test_a_non_finite_loss_in_either_shard_diverges(self, small_setup, small_cfg, batch_of, row):
         _, vocab, _, _ = small_setup
-        cpus(2)
         batch = batch_of(4)
         bad = dataclasses.replace(batch, boxes=batch.boxes.copy())
         bad.boxes[row, 2] = np.inf
@@ -716,10 +813,17 @@ class TestShardedTrainStep:
         assert parameter_bytes(model) == before
         assert pl.train_step(model, batch, opt, small_cfg)["total"] > 0
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("row", [0, 3])
+    def test_a_non_finite_loss_in_either_in_process_shard_diverges(
+        self, small_setup, small_cfg, batch_of, monkeypatch, row
+    ):
+        force_in_process(monkeypatch, "no-fork")
+        self.test_a_non_finite_loss_in_either_shard_diverges(small_setup, small_cfg, batch_of, row)
+
     @fans_out
-    def test_the_parent_runs_one_blas_thread_while_the_peer_lives(self, small_setup, small_cfg, batch_of, cpus):
+    def test_the_parent_runs_one_blas_thread_while_the_peer_lives(self, small_setup, small_cfg, batch_of):
         _, vocab, _, _ = small_setup
-        cpus(2)
         set_threads, get_threads = nc.blas_thread_calls()
         default = get_threads()
         set_threads(2)
@@ -735,9 +839,8 @@ class TestShardedTrainStep:
             set_threads(default)
 
     @fans_out
-    def test_another_model_replaces_the_peer(self, small_setup, small_cfg, batch_of, cpus):
+    def test_another_model_replaces_the_peer(self, small_setup, small_cfg, batch_of):
         _, vocab, _, _ = small_setup
-        cpus(2)
         batch = batch_of(4)
         first, second = TrackerModel(small_cfg, vocab), TrackerModel(small_cfg, vocab)
         for model in (first, second):
@@ -755,7 +858,6 @@ import numpy as np
 from vltrack import pipeline as pl
 from vltrack.config import Config
 from vltrack.model import TrackerModel
-pl.usable_cpus = lambda: 2
 cfg = Config().replace(dim=32, layers=1, heads=2, align_dim=16, head_channels="8,8,8", batch_size=4)
 vocab = pl.resolve_vocab(cfg)
 batch = pl.sample_training_batch(pl.load_dataset(sys.argv[1]), np.random.default_rng(0), cfg, vocab)

@@ -125,20 +125,29 @@ def encoder_layer(x: Tensor, p: EncoderLayerParams, heads: int) -> Tensor:
     return nc.layernorm(x + _ffn(x, p), p.ln2_gain, p.ln2_bias)
 
 
-def forward(hx: Tensor, hz: Tensor, t: Tensor | None, params: BackboneParams, heads: int):
+def forward(
+    hx: Tensor, hz: Tensor, t: Tensor | None, params: BackboneParams, heads: int, layer_inputs=None, start=None
+):
     """Mixup then the full encoder stack; returns last-layer (search, template) tokens.
 
     ``t`` is the reduced language vector; ``None`` runs the language-free
     path, which matches a zero mixup gate bit for bit. The streams are
     concatenated as [search; template] once, before the first layer, and
     split at the search token count once, after the last.
+
+    ``layer_inputs``, if given, is a list with one entry per layer that
+    receives the joint tokens each layer reads. With ``start`` = i the
+    forward resumes at layer i from ``layer_inputs[i]``, and the mixup and
+    the layers before i do not run.
     """
-    if t is None:
-        fx, fz = hx, hz
+    if start is None:
+        fx, fz = (hx, hz) if t is None else modal_mixup(hx, hz, t, params.mixup)
+        x, start = nc.concat([fx, fz], axis=1), 0
     else:
-        fx, fz = modal_mixup(hx, hz, t, params.mixup)
-    n_x = fx.shape[1]
-    x = nc.concat([fx, fz], axis=1)
-    for layer in params.layers:
-        x = encoder_layer(x, layer, heads)
+        x = layer_inputs[start]
+    for i in range(start, len(params.layers)):
+        if layer_inputs is not None:
+            layer_inputs[i] = x
+        x = encoder_layer(x, params.layers[i], heads)
+    n_x = hx.shape[1]
     return nc.narrow(x, 1, 0, n_x), nc.narrow(x, 1, n_x, x.shape[1] - n_x)

@@ -168,7 +168,8 @@ def cmd_grad_check(args) -> int:
             w = entry["worst"]
             line += f"; worst at {w['param']}[{w['index']}]: analytic {w['analytic']:.6e}, numeric {w['numeric']:.6e}"
         print(line)
-    print(f"runtime {report['runtime_s']:.1f}s")
+    forwards = report.pop("probe_forwards")
+    print(f"runtime {report['runtime_s']:.1f}s ({forwards['all']} probe forwards, {forwards['full']} full)")
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             json.dump(report, fh, sort_keys=True, indent=1)

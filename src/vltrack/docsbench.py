@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import Config
 from .errors import VLTrackError
-from .numcore import grad_check, named_stream, probe_coords
+from .numcore import Tape, grad_check, named_stream, one_blas_thread, probe_coords, tape_gradients
 
 RECIPES_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))), "recipes")
 
@@ -71,27 +71,47 @@ def micro_batch(cfg: Config, vocab, n=2):
     return assemble_batch(samples, vocab, cfg.n_t)
 
 
+def probe_losses(model, batch, cfg: Config, kept, stage: str) -> dict:
+    """Every loss component of ``batch`` at the model's current parameters.
+
+    Only ``stage`` (a ``TrackerModel.stage_of`` name) and the stages it feeds
+    run again; the rest is read from ``kept``, the batch's forward from
+    before a parameter feeding ``stage`` moved. "embed" runs the full forward.
+    """
+    from .pipeline import assemble_losses, compute_losses
+
+    if stage == "embed":
+        return compute_losses(model, batch, cfg)
+    return assemble_losses(model.resume(kept, stage), batch.boxes, cfg)
+
+
 def gradient_fidelity(cfg: Config | None = None, h=1e-6, tol=1e-3, coords_per_param=3):
     """Check every loss gradient on a 2-video micro-batch at desk config.
 
-    The model is cloned to float64 and each loss (plus the weighted total)
-    is compared against central differences on a representative parameter
-    spread. The probe step defaults to 1e-6: the composite objective has
-    ReLU kinks and cosine curvature at scales around 1e-3, so the probe must
-    sit well inside the smooth neighborhood of the evaluation point (the
-    float64 noise floor is still three orders below the tolerance).
+    The model is cloned to float64 and each loss the config computes (plus
+    the weighted total) is compared against central differences on a
+    representative parameter spread. The probe step defaults to 1e-6: the
+    composite objective has ReLU kinks and cosine curvature at scales around
+    1e-3, so the probe must sit well inside the smooth neighborhood of the
+    evaluation point (the float64 noise floor is still three orders below
+    the tolerance).
 
-    The six checks share their probe forwards: every state ``grad_check``
-    would probe (``probe_coords``) is forwarded once, up front, through
+    The checks share their forwards. Every state ``grad_check`` would probe
+    (``probe_coords``) is forwarded once, up front, through
     ``pipeline.map_sequences``, so the probes run in parallel workers where
-    the host allows it. Each check reads its loss from those forwards and
-    runs only its own taped forward and backward.
+    the host allows it. A probe re-runs only the stages its parameter feeds
+    (``probe_losses``), from one unperturbed forward kept in this process.
+    One taped forward then gives every loss, and each check's gradient
+    comes from one backward pass from its loss on that tape. This process
+    runs BLAS at one thread throughout, as the workers do.
 
     Returns a JSON-friendly report; each loss names its ``worst``
     coordinate: parameter, flat index, analytic and numeric gradient.
+    ``probe_forwards`` counts the probe forwards, ``all`` of them and the
+    ``full`` ones.
     """
     from .model import TrackerModel
-    from .pipeline import compute_losses, map_sequences, resolve_vocab, total_loss
+    from .pipeline import compute_losses, forward_batch, map_sequences, resolve_vocab, total_loss
 
     cfg = (cfg or Config()).replace(batch_size=2)
     vocab = resolve_vocab(cfg)
@@ -101,32 +121,41 @@ def gradient_fidelity(cfg: Config | None = None, h=1e-6, tol=1e-3, coords_per_pa
     chosen = [name for name in GRADCHECK_PARAMS if name in params]
     inputs = [params[name] for name in chosen]
     flats = [t.data.reshape(-1) for t in inputs]
-
-    def loss_fn(name):
-        if name == "total":
-            return lambda *_: total_loss(compute_losses(model, batch, cfg), cfg)[0]
-        return lambda *_: compute_losses(model, batch, cfg)[name]
-
-    def probe(coord):
-        """Every loss, as a float, at ``coord`` moved by +h and then by -h."""
-        k, idx = coord
-        keep = flats[k][idx]
-        try:
-            values = []
-            for value in (keep + h, keep - h):
-                flats[k][idx] = value
-                values.append(total_loss(compute_losses(model, batch, cfg), cfg)[1])
-            return values
-        finally:
-            flats[k][idx] = keep
+    stages = [model.stage_of(name) for name in chosen]
+    coords = probe_coords([t.size for t in inputs], coords_per_param)
 
     started = time.perf_counter()
-    pairs = map_sequences(probe, probe_coords([t.size for t in inputs], coords_per_param))
+    with one_blas_thread():
+        kept = forward_batch(model, batch, cfg, keep=True)
+
+        def probe(coord):
+            """Every loss, as a float, at ``coord`` moved by +h and then by -h."""
+            k, idx = coord
+            keep = flats[k][idx]
+            try:
+                values = []
+                for value in (keep + h, keep - h):
+                    flats[k][idx] = value
+                    values.append(total_loss(probe_losses(model, batch, cfg, kept, stages[k]), cfg)[1])
+                return values
+            finally:
+                flats[k][idx] = keep
+
+        pairs = map_sequences(probe, coords)
+        with Tape() as tape:
+            roots = compute_losses(model, batch, cfg)
+            roots["total"] = total_loss(roots, cfg)[0]
+        analytic = {}
+        for name, root in roots.items():
+            for t in inputs:
+                t.grad = None
+            tape.backward(root)
+            analytic[name] = tape_gradients(inputs, coords)
     report = {"h": h, "tol": tol, "losses": {}, "params": chosen}
-    for name in ("cls", "giou", "l1", "cma", "ima", "total"):
+    for name in roots:
         probed = [(plus[name], minus[name]) for plus, minus in pairs]
         result = grad_check(
-            loss_fn(name), inputs, h=h, tol=tol, max_coords_per_input=coords_per_param, probed=probed
+            None, inputs, h=h, tol=tol, max_coords_per_input=coords_per_param, probed=probed, analytic=analytic[name]
         )
         worst = result.worst
         report["losses"][name] = {
@@ -142,6 +171,8 @@ def gradient_fidelity(cfg: Config | None = None, h=1e-6, tol=1e-3, coords_per_pa
         }
     report["runtime_s"] = time.perf_counter() - started
     report["passed"] = all(entry["passed"] for entry in report["losses"].values())
+    full = sum(stages[k] == "embed" for k, _ in coords)
+    report["probe_forwards"] = {"all": 2 * len(coords), "full": 2 * full}
     return report
 
 

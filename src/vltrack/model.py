@@ -7,6 +7,7 @@ the checkpoint format can address parameters without knowing the structure.
 from __future__ import annotations
 
 import copy
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,7 @@ from .align import AlignProjections, init_align, project_pool
 from .backbone import BackboneParams, init_backbone
 from .config import Config
 from .embedders import Vocab, patch_embed, reduce_language
-from .errors import CheckpointError, VocabularyError
+from .errors import CheckpointError, ContractError, VocabularyError
 from .head import HeadOutput, HeadParams, head_forward, init_head
 from .numcore import Tensor, named_stream, truncated_normal
 
@@ -27,12 +28,18 @@ TEXT_EMBED_STD = 1.0
 
 @dataclass
 class ForwardResult:
-    head: HeadOutput
-    align_search: Tensor  # (B, C)
-    align_template: Tensor  # (B, C)
-    align_language: Tensor  # (B, C)
-    search_tokens: Tensor  # (B, N_x, D)
-    template_tokens: Tensor  # (B, N_z, D)
+    """The outputs of one forward, and the stage outputs ``TrackerModel.resume`` starts from."""
+
+    mask: np.ndarray  # (B, N_t) prompt mask
+    streams: tuple  # embedded (search, template, text) tokens
+    layer_inputs: list | None  # (B, N_x + N_z, D) joint tokens each encoder layer reads, if kept
+    reduced: Tensor | None = None  # (B, D) reduced prompt; None on the vision-only path
+    head: HeadOutput | None = None
+    align_search: Tensor | None = None  # (B, C)
+    align_template: Tensor | None = None  # (B, C)
+    align_language: Tensor | None = None  # (B, C)
+    search_tokens: Tensor | None = None  # (B, N_x, D)
+    template_tokens: Tensor | None = None  # (B, N_z, D)
 
 
 class TrackerModel:
@@ -89,6 +96,16 @@ class TrackerModel:
                 params[f"head.{tag}.conv{j}.bias"] = conv.bias
         return params
 
+    def stage_of(self, name: str) -> str:
+        """The first forward stage that parameter ``name`` feeds, named by its registry prefix.
+
+        "mixup", "enc{i}", "align" or "head"; "embed", the whole forward,
+        for the embedding and for any name without a stage of its own.
+        """
+        prefix = name.split(".", 1)[0]
+        stages = {"mixup", "align", "head"} | {f"enc{i}" for i in range(len(self.backbone.layers))}
+        return prefix if prefix in stages else "embed"
+
     def load_state(self, arrays: dict[str, np.ndarray]):
         params = self.named_parameters()
         missing = set(params) - set(arrays)
@@ -125,22 +142,54 @@ class TrackerModel:
         h0t = nc.take_rows(self.text_table, ids)
         return h0x, h0z, h0t
 
-    def forward(self, search, template, ids, mask, use_language: bool = True) -> ForwardResult:
+    def forward(self, search, template, ids, mask, use_language: bool = True, keep: bool = False) -> ForwardResult:
         """Full pass: embed, align, mixup + encoder stack, head.
 
         Inputs are batched numpy arrays: images (B, 3, H, W) in [0, 1], ids
         and mask (B, N_t). ``use_language=False`` runs the vision-only path
-        (no mixup), which equals a zero-gate forward bit for bit.
+        (no mixup), which equals a zero-gate forward bit for bit. ``keep``
+        also keeps each encoder layer's input, which ``resume`` needs; an
+        untaped forward runs about 5% slower when it keeps them.
+        """
+        streams = self.embed_inputs(search, template, ids)
+        fw = ForwardResult(mask, streams, [None] * len(self.backbone.layers) if keep else None)
+        return self._run(fw, "embed", use_language)
+
+    def resume(self, kept: ForwardResult, stage: str) -> ForwardResult:
+        """``kept``'s forward re-run from ``stage``, a ``stage_of`` name other than "embed".
+
+        ``kept`` comes from ``forward(..., keep=True)``. Only ``stage`` and
+        the stages it feeds run; every other output is ``kept``'s, which is
+        left as it was. The result is the full forward's as long as no
+        parameter upstream of ``stage`` has moved since ``kept`` was
+        computed.
+        """
+        if stage == "embed" or kept.layer_inputs is None:
+            raise ContractError(f"cannot resume at {stage!r}: run forward, keeping the layer inputs to resume later")
+        fw = dataclasses.replace(kept, layer_inputs=list(kept.layer_inputs))
+        return self._run(fw, stage)
+
+    def _run(self, fw: ForwardResult, stage: str, use_language: bool = True) -> ForwardResult:
+        """Fill ``fw`` with the outputs of ``stage`` and of every stage it feeds, in forward order.
+
+        ``use_language`` is read only from "embed", where it decides whether
+        the prompt is reduced for the mixup gate.
         """
         from . import backbone as bb
 
-        h0x, h0z, h0t = self.embed_inputs(search, template, ids)
-        fx = project_pool(h0x, self.align.search)
-        fz = project_pool(h0z, self.align.template)
-        ft = project_pool(h0t, self.align.language, mask=mask)
-        reduced = None
-        if use_language:
-            reduced = reduce_language(h0t, mask)
-        sx, sz = bb.forward(h0x, h0z, reduced, self.backbone, self.cfg.heads)
-        out = head_forward(sx, self.head)
-        return ForwardResult(out, fx, fz, ft, sx, sz)
+        h0x, h0z, h0t = fw.streams
+        if stage in ("embed", "align"):
+            fw.align_search = project_pool(h0x, self.align.search)
+            fw.align_template = project_pool(h0z, self.align.template)
+            fw.align_language = project_pool(h0t, self.align.language, mask=fw.mask)
+        if stage == "align":
+            return fw
+        if stage == "embed" and use_language:
+            fw.reduced = reduce_language(h0t, fw.mask)
+        if stage != "head":
+            start = int(stage[3:]) if stage.startswith("enc") else None
+            fw.search_tokens, fw.template_tokens = bb.forward(
+                h0x, h0z, fw.reduced, self.backbone, self.cfg.heads, fw.layer_inputs, start
+            )
+        fw.head = head_forward(fw.search_tokens, self.head)
+        return fw

@@ -7,6 +7,7 @@ thread count only by calling into the library.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 
 try:
@@ -41,3 +42,19 @@ def blas_thread_calls():
         get_threads.argtypes, get_threads.restype = [], ctypes.c_int
         return set_threads, get_threads
     return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block at one BLAS thread, where the thread call resolves, and restore the count after it."""
+    calls = blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    set_threads, get_threads = calls
+    threads = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)

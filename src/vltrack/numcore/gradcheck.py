@@ -72,7 +72,15 @@ def probe_coords(sizes, max_coords_per_input, seed=0) -> list:
     return coords
 
 
-def grad_check(f, inputs, h=1e-3, tol=1e-3, max_coords_per_input=16, seed=0, atol=1e-6, probed=None):
+def tape_gradients(inputs, coords) -> list:
+    """The accumulated ``grad`` of ``inputs`` at each ``(input index, flat index)`` of ``coords``, as floats.
+
+    An input without a gradient reads 0.0.
+    """
+    return [float(inputs[k].grad.reshape(-1)[idx]) if inputs[k].grad is not None else 0.0 for k, idx in coords]
+
+
+def grad_check(f, inputs, h=1e-3, tol=1e-3, max_coords_per_input=16, seed=0, atol=1e-6, probed=None, analytic=None):
     """Compare tape gradients of scalar ``f(*inputs)`` against central differences.
 
     ``inputs`` are the tensors to differentiate with respect to; ``f`` must be
@@ -92,22 +100,28 @@ def grad_check(f, inputs, h=1e-3, tol=1e-3, max_coords_per_input=16, seed=0, ato
     ``probed``, if given, holds the untaped values ``(f(x+h), f(x-h))`` as
     floats, one pair per ``probe_coords`` entry in its order, so a caller
     that forwards the probe states itself leaves ``f`` only the taped call.
+    ``analytic``, if given, holds the tape gradient at each ``probe_coords``
+    entry, so ``f`` is not taped either; with both given, ``f`` is never
+    called and may be None.
     """
     inputs64 = [
         t if t.dtype == np.float64 and t.requires_grad else Tensor(t.data, requires_grad=True, dtype=np.float64)
         for t in inputs
     ]
-    for t in inputs64:
-        t.grad = None
     probes = probe_coords([t.size for t in inputs64], max_coords_per_input, seed)
-    if probed is not None and len(probed) != len(probes):
-        raise ContractError(f"grad_check probes {len(probes)} coordinates but got {len(probed)} value pairs")
+    for given, what in ((probed, "value pairs"), (analytic, "gradients")):
+        if given is not None and len(given) != len(probes):
+            raise ContractError(f"grad_check probes {len(probes)} coordinates but got {len(given)} {what}")
 
-    with Tape() as tape:
-        out = f(*inputs64)
-    if not isinstance(out, Tensor) or out.size != 1:
-        raise ContractError("grad_check requires a scalar-valued function")
-    tape.backward(out)
+    if analytic is None:
+        for t in inputs64:
+            t.grad = None
+        with Tape() as tape:
+            out = f(*inputs64)
+        if not isinstance(out, Tensor) or out.size != 1:
+            raise ContractError("grad_check requires a scalar-valued function")
+        tape.backward(out)
+        analytic = tape_gradients(inputs64, probes)
 
     floor = atol / tol
     coords: list[CoordResult] = []
@@ -123,7 +137,7 @@ def grad_check(f, inputs, h=1e-3, tol=1e-3, max_coords_per_input=16, seed=0, ato
             flat[idx] = keep - h
             f_minus = f(*inputs64).item()
             flat[idx] = keep
-        a = float(t.grad.reshape(-1)[idx]) if t.grad is not None else 0.0
+        a = analytic[j]
         n = (f_plus - f_minus) / (2.0 * h)
         rel = abs(a - n) / max(abs(a), abs(n), floor)
         coords.append(CoordResult(k, idx, a, n, rel))

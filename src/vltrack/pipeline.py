@@ -113,10 +113,13 @@ def predicted_boxes_at_cells(out, onehot: np.ndarray, cells: np.ndarray, grid: i
     return nc.concat([centers, size], axis=1)
 
 
-def forward_batch(model: TrackerModel, batch: SampleBatch, cfg: Config):
-    """The model's forward of ``batch``; language enters the backbone unless the run is vision-only."""
+def forward_batch(model: TrackerModel, batch: SampleBatch, cfg: Config, keep: bool = False):
+    """The model's forward of ``batch``; language enters the backbone unless the run is vision-only.
+
+    ``keep`` is ``TrackerModel.forward``'s.
+    """
     return model.forward(
-        batch.search, batch.template, batch.ids, batch.mask, use_language=cfg.ablate != "vision-only"
+        batch.search, batch.template, batch.ids, batch.mask, use_language=cfg.ablate != "vision-only", keep=keep
     )
 
 
@@ -653,12 +656,7 @@ def local_backward(model: TrackerModel, batch: SampleBatch, cfg: Config) -> dict
     one row is a single shard, whose part is the whole batch's loss.
     """
     shards = row_shards(batch)
-    calls = nc.blas_thread_calls()
-    if calls is not None:
-        set_threads, get_threads = calls
-        threads = get_threads()
-        set_threads(1)
-    try:
+    with nc.one_blas_thread():
         taped = [shard_forward(model, shard, cfg) for shard in shards]
         if len(shards) == 1:
             return merge_parts([shard_backward(taped[0], shards[0], cfg, len(batch), 0)], cfg)
@@ -671,9 +669,6 @@ def local_backward(model: TrackerModel, batch: SampleBatch, cfg: Config) -> dict
         first = shard_backward(taped[0], shards[0], cfg, len(batch), 0, rows1)
         add_gradients(params, grads)
         return merge_parts([first, last], cfg)
-    finally:
-        if calls is not None:
-            set_threads(threads)
 
 
 def _receive(conn):

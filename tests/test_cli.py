@@ -613,6 +613,28 @@ class TestCliGradCheck:
         assert code == 2
         assert err.startswith("error: ConfigurationError") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize(
+        "ablate, losses",
+        [
+            ("none", ("cls", "giou", "l1", "cma", "ima", "total")),
+            ("no-mma", ("cls", "giou", "l1", "total")),
+            ("vision-only", ("cls", "giou", "l1", "total")),
+        ],
+    )
+    def test_ablated_model_checks_the_losses_it_computes(self, tmp_path, capsys, ablate, losses):
+        # an ablated model computes no contrastive terms, so none is checked
+        path = tmp_path / "ablated.cfg"
+        path.write_text(small_config_text() + f"ablate={ablate}\n")
+        out = tmp_path / "g.json"
+        code = main(["grad-check", "--config", str(path), "--out", str(out)])
+        printed = capsys.readouterr().out.splitlines()
+        assert code == 0, printed
+        assert [line.split(":")[0] for line in printed[:-1]] == [f"PASS {name}" for name in losses]
+        assert re.fullmatch(r"runtime \d+\.\ds \(\d+ probe forwards, \d+ full\)", printed[-1]), printed[-1]
+        payload = json.loads(out.read_text())
+        assert set(payload) == {"h", "tol", "losses", "params", "runtime_s", "passed"}
+        assert list(payload["losses"]) == sorted(losses)
+
     def test_small_model_report(self, tmp_path, small_cfg_file, capsys):
         out = tmp_path / "g.json"
         code = main(["grad-check", "--config", small_cfg_file, "--out", str(out)])

@@ -23,6 +23,7 @@ from vltrack.docsbench import (
     gradient_fidelity,
     load_recipes,
     micro_batch,
+    probe_losses,
     run_recipe,
     write_junit,
 )
@@ -297,15 +298,58 @@ class TestGradientFidelityHarness:
         monkeypatch.setattr(vltrack.pipeline, "usable_cpus", lambda: n)
 
     def test_checks_share_probe_forwards_exactly(self, monkeypatch):
-        # every check probes the same coordinates: one taped forward per check,
-        # and one untaped forward per probe state, all in this process at one CPU
+        # every check probes the same coordinates: one taped forward for all
+        # checks, and a full untaped forward only for the probe states of the
+        # embedding's 3 x 3 coordinates, all in this process at one CPU
         reference = self.unshared_checks(SMALL)
         self.force_cpus(monkeypatch, 1)
         taped = self.count_forwards(monkeypatch)
         report = gradient_fidelity(SMALL)
         coords = report["losses"]["cls"]["coords"]
-        assert taped.count(True) == 6 and taped.count(False) == 2 * coords
+        full = 2 * 3 * sum(name.startswith("embed.") for name in GRADCHECK_PARAMS)
+        assert taped.count(True) == 1 and taped.count(False) == full
+        assert report["probe_forwards"] == {"all": 2 * coords, "full": full}
         self.assert_same_reports(report, reference)
+
+    def test_shared_tape_gives_each_loss_its_own_tape_report(self, monkeypatch):
+        # one backward per loss on one tape: every coordinate's analytic and
+        # numeric gradient equals that of a fresh tape and fresh probes per loss
+        reference = self.unshared_checks(SMALL)
+        reports = []
+
+        def recorded(*args, **kwargs):
+            reports.append(nc.grad_check(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(vltrack.docsbench, "grad_check", recorded)
+        gradient_fidelity(SMALL)
+        assert len(reports) == len(LOSSES)
+        for name, report in zip(LOSSES, reports):
+            assert repr(report) == repr(reference[name]), name
+
+    @pytest.mark.parametrize("ablate", ("none", "no-mma", "vision-only"))
+    def test_resumed_forward_equals_the_full_forward_for_every_parameter(self, ablate):
+        # two layers, so a forward also resumes past the first one
+        cfg = SMALL.replace(batch_size=2, ablate=ablate, layers=2)
+        vocab = resolve_vocab(cfg)
+        model = TrackerModel(cfg, vocab).astype(np.float64)
+        batch = micro_batch(cfg, vocab, n=2)
+        kept = vltrack.pipeline.forward_batch(model, batch, cfg, keep=True)
+
+        def values(components):
+            return repr({name: t.item() for name, t in components.items()})
+
+        for name, t in model.named_parameters().items():
+            flat = t.data.reshape(-1)
+            idx = flat.size // 2
+            keep = flat[idx]
+            for value in (keep + 1e-3, keep - 1e-3):
+                flat[idx] = value
+                resumed = probe_losses(model, batch, cfg, kept, model.stage_of(name))
+                assert values(resumed) == values(compute_losses(model, batch, cfg)), (name, value)
+            flat[idx] = keep
+        stages = {model.stage_of(name) for name in model.named_parameters()}
+        assert stages == {"embed", "mixup", "enc0", "enc1", "align", "head"}
 
     @fans_out
     def test_probes_forwarded_in_workers_give_the_same_report(self, monkeypatch):
@@ -314,6 +358,6 @@ class TestGradientFidelityHarness:
         self.force_cpus(monkeypatch, 2)
         taped = self.count_forwards(monkeypatch)
         fanned = gradient_fidelity(SMALL)
-        assert taped == [True] * 6  # every probe ran in a worker
+        assert taped == [True]  # every probe ran in a worker
         del alone["runtime_s"], fanned["runtime_s"]
         assert repr(fanned) == repr(alone)  # repr tells every float bit apart

@@ -215,6 +215,28 @@ class TestGradCheck:
         with pytest.raises(ContractError, match="probes 7 coordinates but got 6"):
             nc.grad_check(self.cubic, inputs, max_coords_per_input=4, probed=[(0.0, 0.0)] * 6)
 
+    def test_analytic_of_the_wrong_length_is_rejected(self):
+        inputs = self.cubic_inputs()
+        with pytest.raises(ContractError, match="probes 7 coordinates but got 8 gradients"):
+            nc.grad_check(self.cubic, inputs, max_coords_per_input=4, analytic=[0.0] * 8)
+
+    def test_given_gradients_give_the_report_of_taping(self):
+        inputs, h = self.cubic_inputs(), 1e-4
+        reference = nc.grad_check(self.cubic, inputs, h=h, max_coords_per_input=4)
+        for t in inputs:
+            t.grad = None
+        with Tape() as tape:
+            out = self.cubic(*inputs)
+        tape.backward(out)
+        analytic = nc.tape_gradients(inputs, nc.probe_coords([t.size for t in inputs], 4))
+
+        def untaped_cubic(*ts):
+            assert Tape.current is None, "f was taped"
+            return self.cubic(*ts)
+
+        given = nc.grad_check(untaped_cubic, inputs, h=h, max_coords_per_input=4, analytic=analytic)
+        assert repr(given) == repr(reference)
+
 
 def _check(f, tensors, tol=1e-3):
     report = nc.grad_check(f, tensors, h=1e-3, tol=tol, max_coords_per_input=12)

@@ -85,6 +85,11 @@ class Config:
         ):
             if getattr(self, name) not in allowed:
                 raise ConfigurationError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
+        if self.iters < 0 or min(self.batch_size, self.log_every, self.checkpoint_every) < 1:
+            raise ConfigurationError(
+                f"iters must be non-negative and batch_size, log_every and checkpoint_every positive, got "
+                f"{self.iters}/{self.batch_size}/{self.log_every}/{self.checkpoint_every}"
+            )
         if self.batch_size < 2 and self.ablate == "none" and (self.lambda_cma > 0 or self.lambda_ima > 0):
             raise ConfigurationError("contrastive losses need batch_size >= 2")
         self.head_channel_plan  # validates the channel string

@@ -71,18 +71,27 @@ def micro_batch(cfg: Config, vocab, n=2):
     return assemble_batch(samples, vocab, cfg.n_t)
 
 
-def probe_losses(model, batch, cfg: Config, kept, stage: str) -> dict:
-    """Every loss component of ``batch`` at the model's current parameters.
+def taped_gradients(model, batch, cfg: Config, inputs, coords) -> tuple:
+    """One taped forward of ``batch`` and each loss's gradient at ``coords``: (forward, {loss: gradients}).
 
-    Only ``stage`` (a ``TrackerModel.stage_of`` name) and the stages it feeds
-    run again; the rest is read from ``kept``, the batch's forward from
-    before a parameter feeding ``stage`` moved. "embed" runs the full forward.
+    Each loss the config computes, and the weighted ``total``, is
+    back-propagated alone from the one tape, with the gradients of
+    ``inputs`` zeroed between roots. The tape is dropped on return; the
+    forward kept its layer inputs, so ``TrackerModel.resume`` can start from it.
     """
-    from .pipeline import assemble_losses, compute_losses
+    from .pipeline import assemble_losses, total_loss
 
-    if stage == "embed":
-        return compute_losses(model, batch, cfg)
-    return assemble_losses(model.resume(kept, stage), batch.boxes, cfg)
+    with Tape() as tape:
+        fw = model.forward(batch.search, batch.template, batch.ids, batch.mask)
+        roots = assemble_losses(fw, batch.boxes, cfg)
+        roots["total"] = total_loss(roots, cfg)[0]
+    analytic = {}
+    for name, root in roots.items():
+        for t in inputs:
+            t.grad = None
+        tape.backward(root)
+        analytic[name] = tape_gradients(inputs, coords)
+    return fw, analytic
 
 
 def gradient_fidelity(cfg: Config | None = None, h=1e-6, tol=1e-3, coords_per_param=3):
@@ -96,22 +105,22 @@ def gradient_fidelity(cfg: Config | None = None, h=1e-6, tol=1e-3, coords_per_pa
     evaluation point (the float64 noise floor is still three orders below
     the tolerance).
 
-    The checks share their forwards. Every state ``grad_check`` would probe
-    (``probe_coords``) is forwarded once, up front, through
-    ``pipeline.map_sequences``, so the probes run in parallel workers where
-    the host allows it. A probe re-runs only the stages its parameter feeds
-    (``probe_losses``), from one unperturbed forward kept in this process.
-    One taped forward then gives every loss, and each check's gradient
-    comes from one backward pass from its loss on that tape. This process
-    runs BLAS at one thread throughout, as the workers do.
+    The checks share their forwards. One taped forward gives every loss,
+    and each check's gradient comes from one backward pass from its loss on
+    that tape (``taped_gradients``); the tape is dropped before the probes
+    fan out. Every state ``grad_check`` would probe (``probe_coords``) is
+    then forwarded once through ``pipeline.map_sequences``, so the probes
+    run in parallel workers where the host allows it. A probe resumes the
+    taped forward from the stage its parameter feeds. This process runs
+    BLAS at one thread throughout, as the workers do.
 
     Returns a JSON-friendly report; each loss names its ``worst``
     coordinate: parameter, flat index, analytic and numeric gradient.
     ``probe_forwards`` counts the probe forwards, ``all`` of them and the
-    ``full`` ones.
+    ``full`` ones, which resume from "embed".
     """
     from .model import TrackerModel
-    from .pipeline import compute_losses, forward_batch, map_sequences, resolve_vocab, total_loss
+    from .pipeline import assemble_losses, map_sequences, resolve_vocab, total_loss
 
     cfg = (cfg or Config()).replace(batch_size=2)
     vocab = resolve_vocab(cfg)
@@ -126,7 +135,7 @@ def gradient_fidelity(cfg: Config | None = None, h=1e-6, tol=1e-3, coords_per_pa
 
     started = time.perf_counter()
     with one_blas_thread():
-        kept = forward_batch(model, batch, cfg, keep=True)
+        kept, analytic = taped_gradients(model, batch, cfg, inputs, coords)
 
         def probe(coord):
             """Every loss, as a float, at ``coord`` moved by +h and then by -h."""
@@ -136,23 +145,15 @@ def gradient_fidelity(cfg: Config | None = None, h=1e-6, tol=1e-3, coords_per_pa
                 values = []
                 for value in (keep + h, keep - h):
                     flats[k][idx] = value
-                    values.append(total_loss(probe_losses(model, batch, cfg, kept, stages[k]), cfg)[1])
+                    components = assemble_losses(model.resume(kept, stages[k]), batch.boxes, cfg)
+                    values.append(total_loss(components, cfg)[1])
                 return values
             finally:
                 flats[k][idx] = keep
 
         pairs = map_sequences(probe, coords)
-        with Tape() as tape:
-            roots = compute_losses(model, batch, cfg)
-            roots["total"] = total_loss(roots, cfg)[0]
-        analytic = {}
-        for name, root in roots.items():
-            for t in inputs:
-                t.grad = None
-            tape.backward(root)
-            analytic[name] = tape_gradients(inputs, coords)
     report = {"h": h, "tol": tol, "losses": {}, "params": chosen}
-    for name in roots:
+    for name in analytic:
         probed = [(plus[name], minus[name]) for plus, minus in pairs]
         result = grad_check(
             None, inputs, h=h, tol=tol, max_coords_per_input=coords_per_param, probed=probed, analytic=analytic[name]

@@ -30,9 +30,10 @@ TEXT_EMBED_STD = 1.0
 class ForwardResult:
     """The outputs of one forward, and the stage outputs ``TrackerModel.resume`` starts from."""
 
+    inputs: tuple  # the raw (search, template, ids) the forward embedded
     mask: np.ndarray  # (B, N_t) prompt mask
-    streams: tuple  # embedded (search, template, text) tokens
-    layer_inputs: list | None  # (B, N_x + N_z, D) joint tokens each encoder layer reads, if kept
+    layer_inputs: list | None  # (B, N_x + N_z, D) joint tokens each encoder layer reads, kept under a tape
+    streams: tuple | None = None  # embedded (search, template, text) tokens
     reduced: Tensor | None = None  # (B, D) reduced prompt; None on the vision-only path
     head: HeadOutput | None = None
     align_search: Tensor | None = None  # (B, C)
@@ -142,41 +143,38 @@ class TrackerModel:
         h0t = nc.take_rows(self.text_table, ids)
         return h0x, h0z, h0t
 
-    def forward(self, search, template, ids, mask, use_language: bool = True, keep: bool = False) -> ForwardResult:
+    def forward(self, search, template, ids, mask) -> ForwardResult:
         """Full pass: embed, align, mixup + encoder stack, head.
 
         Inputs are batched numpy arrays: images (B, 3, H, W) in [0, 1], ids
-        and mask (B, N_t). ``use_language=False`` runs the vision-only path
-        (no mixup), which equals a zero-gate forward bit for bit. ``keep``
-        also keeps each encoder layer's input, which ``resume`` needs; an
-        untaped forward runs about 5% slower when it keeps them.
+        and mask (B, N_t). A ``vision-only`` config runs no mixup, which
+        equals a zero-gate forward bit for bit. While a tape records, the
+        forward also keeps each encoder layer's input, which the tape holds
+        anyway and ``resume`` needs; an untaped forward keeps nothing.
         """
-        streams = self.embed_inputs(search, template, ids)
-        fw = ForwardResult(mask, streams, [None] * len(self.backbone.layers) if keep else None)
-        return self._run(fw, "embed", use_language)
+        layer_inputs = [None] * len(self.backbone.layers) if nc.Tape.current is not None else None
+        return self._run(ForwardResult((search, template, ids), mask, layer_inputs), "embed")
 
     def resume(self, kept: ForwardResult, stage: str) -> ForwardResult:
-        """``kept``'s forward re-run from ``stage``, a ``stage_of`` name other than "embed".
+        """``kept``'s forward re-run from ``stage``, a ``stage_of`` name.
 
-        ``kept`` comes from ``forward(..., keep=True)``. Only ``stage`` and
-        the stages it feeds run; every other output is ``kept``'s, which is
-        left as it was. The result is the full forward's as long as no
-        parameter upstream of ``stage`` has moved since ``kept`` was
-        computed.
+        ``kept`` comes from a forward run while a tape recorded. Only
+        ``stage`` and the stages it feeds run; every other output is
+        ``kept``'s, which is left as it was. The result is the full
+        forward's as long as no parameter upstream of ``stage`` has moved
+        since ``kept`` was computed; "embed" re-runs the whole forward.
         """
-        if stage == "embed" or kept.layer_inputs is None:
-            raise ContractError(f"cannot resume at {stage!r}: run forward, keeping the layer inputs to resume later")
+        if kept.layer_inputs is None:
+            raise ContractError(f"cannot resume at {stage!r}: the forward ran without a tape and kept no layer inputs")
         fw = dataclasses.replace(kept, layer_inputs=list(kept.layer_inputs))
         return self._run(fw, stage)
 
-    def _run(self, fw: ForwardResult, stage: str, use_language: bool = True) -> ForwardResult:
-        """Fill ``fw`` with the outputs of ``stage`` and of every stage it feeds, in forward order.
-
-        ``use_language`` is read only from "embed", where it decides whether
-        the prompt is reduced for the mixup gate.
-        """
+    def _run(self, fw: ForwardResult, stage: str) -> ForwardResult:
+        """Fill ``fw`` with the outputs of ``stage`` and of every stage it feeds, in forward order."""
         from . import backbone as bb
 
+        if stage == "embed":
+            fw.streams = self.embed_inputs(*fw.inputs)
         h0x, h0z, h0t = fw.streams
         if stage in ("embed", "align"):
             fw.align_search = project_pool(h0x, self.align.search)
@@ -184,7 +182,7 @@ class TrackerModel:
             fw.align_language = project_pool(h0t, self.align.language, mask=fw.mask)
         if stage == "align":
             return fw
-        if stage == "embed" and use_language:
+        if stage == "embed" and self.cfg.ablate != "vision-only":
             fw.reduced = reduce_language(h0t, fw.mask)
         if stage != "head":
             start = int(stage[3:]) if stage.startswith("enc") else None

@@ -113,16 +113,6 @@ def predicted_boxes_at_cells(out, onehot: np.ndarray, cells: np.ndarray, grid: i
     return nc.concat([centers, size], axis=1)
 
 
-def forward_batch(model: TrackerModel, batch: SampleBatch, cfg: Config, keep: bool = False):
-    """The model's forward of ``batch``; language enters the backbone unless the run is vision-only.
-
-    ``keep`` is ``TrackerModel.forward``'s.
-    """
-    return model.forward(
-        batch.search, batch.template, batch.ids, batch.mask, use_language=cfg.ablate != "vision-only", keep=keep
-    )
-
-
 def assemble_losses(fw, boxes: np.ndarray, cfg: Config, align=None) -> dict:
     """Every loss component of the forward ``fw`` of ground truth ``boxes``, as a scalar tensor.
 
@@ -151,7 +141,7 @@ def assemble_losses(fw, boxes: np.ndarray, cfg: Config, align=None) -> dict:
 
 def compute_losses(model: TrackerModel, batch: SampleBatch, cfg: Config) -> dict:
     """Forward the whole batch and return every loss component as a scalar tensor."""
-    return assemble_losses(forward_batch(model, batch, cfg), batch.boxes, cfg)
+    return assemble_losses(model.forward(batch.search, batch.template, batch.ids, batch.mask), batch.boxes, cfg)
 
 
 def total_loss(components: dict, cfg: Config):
@@ -439,7 +429,6 @@ def track_sequence(
     else:
         prompt = record.prompt if cfg.eval_prompt == "sentence" else record.class_word
     ids, mask = _prompt_arrays(prompt, model.vocab, cfg.n_t)
-    use_language = cfg.ablate != "vision-only"
 
     first = init_box if init_box is not None else record.boxes[0]
     if not (first.w > 0 and first.h > 0 and all(map(math.isfinite, (first.cx, first.cy, first.w, first.h)))):
@@ -458,7 +447,7 @@ def track_sequence(
         search, meta = crop_and_resize(
             record.stream_frame(t), (prev.cx, prev.cy), max(8.0, crop_side_for(prev, 4.0)), cfg.search_size, cfg.patch
         )
-        fw = model.forward(search[None], template, ids, mask, use_language=use_language)
+        fw = model.forward(search[None], template, ids, mask)
         box = decode(fw.head, meta, window_weight=cfg.window_weight, image_size=record.canvas)
         preds.append(box)
         prev = box
@@ -581,7 +570,7 @@ def row_shards(batch: SampleBatch) -> tuple[SampleBatch, ...]:
     return tuple(SampleBatch(**{f.name: getattr(batch, f.name)[rows] for f in fields(SampleBatch)}) for rows in bounds)
 
 
-def shard_forward(model: TrackerModel, shard: SampleBatch, cfg: Config) -> tuple:
+def shard_forward(model: TrackerModel, shard: SampleBatch) -> tuple:
     """The first phase of a shard's step: (tape, forward, alignment rows).
 
     The forward of ``shard`` is recorded on a tape of its own, which
@@ -589,7 +578,7 @@ def shard_forward(model: TrackerModel, shard: SampleBatch, cfg: Config) -> tuple
     rows are the shard's part of the rows the batch contrasts.
     """
     with Tape() as tape:
-        fw = forward_batch(model, shard, cfg)
+        fw = model.forward(shard.search, shard.template, shard.ids, shard.mask)
     return tape, fw, (fw.align_search, fw.align_template, fw.align_language)
 
 
@@ -657,7 +646,7 @@ def local_backward(model: TrackerModel, batch: SampleBatch, cfg: Config) -> dict
     """
     shards = row_shards(batch)
     with nc.one_blas_thread():
-        taped = [shard_forward(model, shard, cfg) for shard in shards]
+        taped = [shard_forward(model, shard) for shard in shards]
         if len(shards) == 1:
             return merge_parts([shard_backward(taped[0], shards[0], cfg, len(batch), 0)], cfg)
         rows0, rows1 = ([t.data for t in align] for _, _, align in taped)
@@ -681,7 +670,7 @@ def _receive(conn):
 
 def _traded_shard(conn, model: TrackerModel, shard: SampleBatch, cfg: Config, rows: int, index: int) -> dict:
     """Both phases of shard ``index`` of a two-process step; the alignment rows are traded over ``conn``."""
-    taped = shard_forward(model, shard, cfg)
+    taped = shard_forward(model, shard)
     conn.send(("rows", [t.data for t in taped[2]]))
     (other,) = _receive(conn)
     return shard_backward(taped, shard, cfg, rows, index, other)

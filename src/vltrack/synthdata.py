@@ -311,26 +311,23 @@ def write_ppm(path, img: np.ndarray):
         fh.write(np.ascontiguousarray(img, dtype=np.uint8).tobytes())
 
 
+_PPM_HEADER = re.compile(rb"P6\s+(\d+)\s+(\d+)\s+(\d+)\s")
+
+
 def read_ppm(path) -> np.ndarray:
+    """A binary PPM file as uint8 (H, W, 3); a malformed header or a short payload raises ``ParseError``."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if not data.startswith(b"P6"):
-        raise ParseError(f"{path} is not a binary PPM file")
-    fields = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(int(data[start:pos]))
-    pos += 1  # single whitespace after maxval
-    w, h, maxval = fields
+    header = _PPM_HEADER.match(data)
+    if header is None:
+        raise ParseError(f"{path} is not a binary PPM file, or its header is truncated")
+    w, h, maxval = map(int, header.groups())
     if maxval != 255:
-        raise ParseError(f"unsupported PPM maxval {maxval}")
-    pixels = np.frombuffer(data, dtype=np.uint8, count=w * h * 3, offset=pos)
-    return pixels.reshape(h, w, 3).copy()
+        raise ParseError(f"{path}: unsupported PPM maxval {maxval}")
+    size = w * h * 3
+    if len(data) - header.end() < size:
+        raise ParseError(f"{path}: truncated PPM payload, {len(data) - header.end()} of {size} bytes")
+    return np.frombuffer(data, dtype=np.uint8, count=size, offset=header.end()).reshape(h, w, 3).copy()
 
 
 def load_frame(path) -> np.ndarray:
@@ -555,7 +552,10 @@ def read_lasot_format(seq_dir) -> SequenceRecord:
     canvas = None
     if os.path.isfile(meta_path):
         with open(meta_path, encoding="utf-8") as fh:
-            meta = json.load(fh)
+            try:
+                meta = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{meta_path} is not valid JSON: {exc}") from None
         class_word = meta.get("class_word", "")
         canvas = (meta["canvas"], meta["canvas"]) if "canvas" in meta else None
         objects = [ObjectTrack(o["role"], o["shape"], o["color"], o["boxes"]) for o in meta.get("objects", [])]

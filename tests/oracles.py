@@ -207,14 +207,14 @@ def two_shard_backward(model, batch, cfg):
     shards = pl.row_shards(batch)
     rows = []
     for shard in shards:
-        fw = pl.forward_batch(model, shard, cfg)
+        fw = model.forward(shard.search, shard.template, shard.ids, shard.mask)
         rows.append([fw.align_search.data, fw.align_template.data, fw.align_language.data])
     params = model.named_parameters()
     parts, grads = [], []
     for s, shard in enumerate(shards):
         for t in params.values():
             t.grad = None
-        parts.append(pl.shard_backward(pl.shard_forward(model, shard, cfg), shard, cfg, len(batch), s, rows[1 - s]))
+        parts.append(pl.shard_backward(pl.shard_forward(model, shard), shard, cfg, len(batch), s, rows[1 - s]))
         grads.append({name: t.grad for name, t in params.items()})
     for name, t in params.items():
         g0, g1 = grads[0][name], grads[1][name]

@@ -83,6 +83,9 @@ class TestCriterion3MixupIdentity:
         model = TrackerModel(cfg, resolve_vocab(cfg))
         model.backbone.mixup.weight.data[:] = 0.0
         model.backbone.mixup.bias.data[:] = 0.0
+        # the same parameters under a config whose forward runs no mixup
+        vision_only = TrackerModel(cfg.replace(ablate="vision-only"), model.vocab)
+        vision_only.load_state({name: t.data for name, t in model.named_parameters().items()})
         rng = np.random.default_rng(5)
         search = rng.uniform(0, 1, (1, 3, 64, 64)).astype(np.float32)
         template = rng.uniform(0, 1, (1, 3, 32, 32)).astype(np.float32)
@@ -91,8 +94,8 @@ class TestCriterion3MixupIdentity:
         tp = tokenize("red circle moving left", model.vocab, cfg.n_t)
         ids = np.asarray([tp.ids])
         mask = np.asarray([tp.mask], dtype=np.float32)
-        with_lang = model.forward(search, template, ids, mask, use_language=True)
-        without = model.forward(search, template, ids, mask, use_language=False)
+        with_lang = model.forward(search, template, ids, mask)
+        without = vision_only.forward(search, template, ids, mask)
         same = (
             with_lang.head.score.data.tobytes() == without.head.score.data.tobytes()
             and with_lang.head.offset.data.tobytes() == without.head.offset.data.tobytes()

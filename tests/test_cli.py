@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import re
+import shutil
 import struct
 from pathlib import Path
 
@@ -86,6 +87,10 @@ class TestConfig:
             {"align_dim": 0},
             {"search_size": 0},
             {"template_size": 0},
+            {"iters": -5},
+            {"batch_size": 0, "ablate": "no-mma"},
+            {"log_every": 0},
+            {"checkpoint_every": 0},
         ],
         ids=[
             "tau",
@@ -98,6 +103,10 @@ class TestConfig:
             "align_dim",
             "search_size",
             "template_size",
+            "iters",
+            "batch_size",
+            "log_every",
+            "checkpoint_every",
         ],
     )
     def test_model_description_rejected(self, values):
@@ -449,6 +458,18 @@ class TestCliTrain:
         rows = (run / "loss_log.csv").read_text().strip().splitlines()
         assert rows[-1].startswith("30,")
 
+    def test_negative_iters_is_a_one_line_error(self, tmp_path, small_cfg_file, capsys):
+        # once a struct.error traceback from save_checkpoint
+        data = tmp_path / "data"
+        main(["generate", "--out", str(data), "--frames", "6", "--train-count", "2", "--eval-count", "0"])
+        capsys.readouterr()
+        run = tmp_path / "run"
+        code = main(["train", "--config", small_cfg_file, "--data", str(data / "train"), "--out", str(run), "--iters", "-5", "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ConfigurationError") and err.count("\n") == 1, err
+        assert not (run / "checkpoint.aio").exists()
+
     def test_ablate_flag_recorded_in_checkpoint(self, tmp_path, small_cfg_file):
         data = tmp_path / "data"
         main(["generate", "--out", str(data), "--frames", "6", "--train-count", "2", "--eval-count", "0"])
@@ -502,6 +523,27 @@ class TestCliEval:
         (bad.parent / "groundtruth.txt").write_text("1,2,3,4\n")
         code = main(["eval", "--data", str(tmp_path / "bad_data"), "--ckpt", str(trained_run["ckpt"]), "--out", str(tmp_path / "r")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            ("img/000003.ppm", lambda raw: raw[: len(raw) // 2]),  # a half-written frame
+            ("img/000003.ppm", lambda raw: raw[:4]),  # a truncated header
+            ("meta.json", lambda raw: raw[:-3]),
+        ],
+        ids=["ppm-payload", "ppm-header", "meta-json"],
+    )
+    def test_malformed_sequence_file_is_a_one_line_parse_error(self, trained_run, tmp_path, capsys, damage):
+        data = tmp_path / "data"
+        shutil.copytree(trained_run["data"] / "eval", data)
+        name, cut = damage
+        path = data / "seq_000" / name
+        path.write_bytes(cut(path.read_bytes()))
+        code = main(["eval", "--data", str(data), "--ckpt", str(trained_run["ckpt"]), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ParseError: ") and err.count("\n") == 1, err
+        assert str(path) in err
 
 
 class TestCliTrack:

@@ -1,6 +1,7 @@
 """Recipe loading, coverage of the acceptance criteria, and the runner."""
 
 import dataclasses
+import gc
 import json
 import math
 import multiprocessing
@@ -23,13 +24,12 @@ from vltrack.docsbench import (
     gradient_fidelity,
     load_recipes,
     micro_batch,
-    probe_losses,
     run_recipe,
     write_junit,
 )
-from vltrack.errors import VLTrackError
+from vltrack.errors import ContractError, VLTrackError
 from vltrack.model import TrackerModel
-from vltrack.pipeline import compute_losses, resolve_vocab, total_loss
+from vltrack.pipeline import assemble_losses, compute_losses, resolve_vocab, total_loss
 
 LOSSES = ("cls", "giou", "l1", "cma", "ima", "total")
 fans_out = pytest.mark.skipif(
@@ -270,16 +270,22 @@ class TestGradientFidelityHarness:
 
     @staticmethod
     def count_forwards(monkeypatch):
-        """Record, per compute_losses call, whether a tape was recording."""
-        taped = []
-        real = vltrack.pipeline.compute_losses
+        """Record each forward in this process: ("forward", whether a tape was
+        recording) per full forward and ("resume", stage) per resumed one."""
+        calls = []
+        forward, resume = TrackerModel.forward, TrackerModel.resume
 
-        def counted(*args):
-            taped.append(nc.Tape.current is not None)
-            return real(*args)
+        def counted_forward(self, *args):
+            calls.append(("forward", nc.Tape.current is not None))
+            return forward(self, *args)
 
-        monkeypatch.setattr(vltrack.pipeline, "compute_losses", counted)
-        return taped
+        def counted_resume(self, kept, stage):
+            calls.append(("resume", stage))
+            return resume(self, kept, stage)
+
+        monkeypatch.setattr(TrackerModel, "forward", counted_forward)
+        monkeypatch.setattr(TrackerModel, "resume", counted_resume)
+        return calls
 
     @staticmethod
     def assert_same_reports(report, reference):
@@ -299,17 +305,37 @@ class TestGradientFidelityHarness:
 
     def test_checks_share_probe_forwards_exactly(self, monkeypatch):
         # every check probes the same coordinates: one taped forward for all
-        # checks, and a full untaped forward only for the probe states of the
-        # embedding's 3 x 3 coordinates, all in this process at one CPU
+        # checks and no untaped full forward; every probe resumes the taped
+        # forward, the embedding's 3 x 3 coordinates from "embed", all in
+        # this process at one CPU
         reference = self.unshared_checks(SMALL)
         self.force_cpus(monkeypatch, 1)
-        taped = self.count_forwards(monkeypatch)
+        calls = self.count_forwards(monkeypatch)
         report = gradient_fidelity(SMALL)
         coords = report["losses"]["cls"]["coords"]
         full = 2 * 3 * sum(name.startswith("embed.") for name in GRADCHECK_PARAMS)
-        assert taped.count(True) == 1 and taped.count(False) == full
+        resumed = [stage for kind, stage in calls if kind == "resume"]
+        assert [call for call in calls if call[0] == "forward"] == [("forward", True)]
+        assert len(resumed) == 2 * coords and resumed.count("embed") == full
         assert report["probe_forwards"] == {"all": 2 * coords, "full": full}
         self.assert_same_reports(report, reference)
+
+    def test_tape_is_dropped_before_the_probes_fan_out(self, monkeypatch):
+        # forking while the tape is alive copies it into every worker
+        calls = self.count_forwards(monkeypatch)
+        seen = []
+        fan_out = vltrack.pipeline.map_sequences
+
+        def inspected(fn, items, *args):
+            tapes = [obj for obj in gc.get_objects() if isinstance(obj, nc.Tape)]
+            seen.append((list(calls), tapes))
+            return fan_out(fn, items, *args)
+
+        monkeypatch.setattr(vltrack.pipeline, "map_sequences", inspected)
+        gc.collect()
+        gradient_fidelity(SMALL, coords_per_param=1)
+        [(before, tapes)] = seen
+        assert before == [("forward", True)] and tapes == []
 
     def test_shared_tape_gives_each_loss_its_own_tape_report(self, monkeypatch):
         # one backward per loss on one tape: every coordinate's analytic and
@@ -334,7 +360,8 @@ class TestGradientFidelityHarness:
         vocab = resolve_vocab(cfg)
         model = TrackerModel(cfg, vocab).astype(np.float64)
         batch = micro_batch(cfg, vocab, n=2)
-        kept = vltrack.pipeline.forward_batch(model, batch, cfg, keep=True)
+        with nc.Tape():
+            kept = model.forward(batch.search, batch.template, batch.ids, batch.mask)
 
         def values(components):
             return repr({name: t.item() for name, t in components.items()})
@@ -345,19 +372,30 @@ class TestGradientFidelityHarness:
             keep = flat[idx]
             for value in (keep + 1e-3, keep - 1e-3):
                 flat[idx] = value
-                resumed = probe_losses(model, batch, cfg, kept, model.stage_of(name))
+                resumed = assemble_losses(model.resume(kept, model.stage_of(name)), batch.boxes, cfg)
                 assert values(resumed) == values(compute_losses(model, batch, cfg)), (name, value)
             flat[idx] = keep
         stages = {model.stage_of(name) for name in model.named_parameters()}
         assert stages == {"embed", "mixup", "enc0", "enc1", "align", "head"}
+
+    @pytest.mark.parametrize("stage", ("embed", "mixup", "enc1", "align", "head"))
+    def test_resuming_an_untaped_forward_names_the_stage(self, stage):
+        cfg = SMALL.replace(batch_size=2, layers=2)
+        vocab = resolve_vocab(cfg)
+        model = TrackerModel(cfg, vocab)
+        batch = micro_batch(cfg, vocab, n=2)
+        untaped = model.forward(batch.search, batch.template, batch.ids, batch.mask)
+        assert untaped.layer_inputs is None
+        with pytest.raises(ContractError, match=repr(stage)):
+            model.resume(untaped, stage)
 
     @fans_out
     def test_probes_forwarded_in_workers_give_the_same_report(self, monkeypatch):
         self.force_cpus(monkeypatch, 1)
         alone = gradient_fidelity(SMALL)
         self.force_cpus(monkeypatch, 2)
-        taped = self.count_forwards(monkeypatch)
+        calls = self.count_forwards(monkeypatch)
         fanned = gradient_fidelity(SMALL)
-        assert taped == [True]  # every probe ran in a worker
+        assert calls == [("forward", True)]  # every probe ran in a worker
         del alone["runtime_s"], fanned["runtime_s"]
         assert repr(fanned) == repr(alone)  # repr tells every float bit apart

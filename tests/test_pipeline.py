@@ -115,10 +115,10 @@ class TestTotalLoss:
     def test_ablation_flag_zeroes_weights(self, small_setup, small_cfg):
         # an ablated run computes no contrastive term, so its total is the
         # vision-only objective at the configured regression weights
-        _, _, model, batch = small_setup
+        _, vocab, _, batch = small_setup
         for ablate in ("no-mma", "vision-only"):
             cfg = small_cfg.replace(ablate=ablate)
-            comps = pl.compute_losses(model, batch, cfg)
+            comps = pl.compute_losses(TrackerModel(cfg, vocab), batch, cfg)
             assert set(comps) == {"cls", "giou", "l1"}
             total, breakdown = total_loss(comps, cfg)
             expect = comps["cls"].item() + 2.0 * comps["giou"].item() + 5.0 * comps["l1"].item()

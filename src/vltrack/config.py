@@ -138,7 +138,10 @@ def parse_config_text(text: str, base: Config | None = None) -> Config:
         field = _FIELDS.get(key)
         if field is None:
             raise ConfigurationError(f"config line {lineno}: unknown key {key!r}")
-        values[key] = _parse_value(field, raw)
+        try:
+            values[key] = _parse_value(field, raw)
+        except ValueError:
+            raise ConfigurationError(f"config line {lineno}: {key} takes {field.type} values, got {raw!r}") from None
     return Config(**values)
 
 

@@ -169,6 +169,12 @@ class TrackerModel:
         fw = dataclasses.replace(kept, layer_inputs=list(kept.layer_inputs))
         return self._run(fw, stage)
 
+    def alignment_rows(self, search, template, ids, mask) -> tuple:
+        """The (search, template, language) alignment rows of a batch: a forward's embed and align stages only."""
+        fw = ForwardResult((search, template, ids), mask, None, self.embed_inputs(search, template, ids))
+        self._run(fw, "align")
+        return fw.align_search, fw.align_template, fw.align_language
+
     def _run(self, fw: ForwardResult, stage: str) -> ForwardResult:
         """Fill ``fw`` with the outputs of ``stage`` and of every stage it feeds, in forward order."""
         from . import backbone as bb

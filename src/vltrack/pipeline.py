@@ -259,15 +259,18 @@ def train_step(model: TrackerModel, batch: SampleBatch, opt: AdamW, cfg: Config,
     Shard 1 runs in a forked peer (``sharded_backward``) wherever one can be
     forked; a batch of one row, or a process that cannot fork a peer, runs
     its shards here (``local_backward``). Both give the same bytes, so the
-    trained model does not depend on the host. The update runs here.
+    trained model does not depend on the host. The update runs here. The
+    step runs BLAS at one thread, where the thread call resolves, as the
+    peer does; the caller's own count is restored after it.
     """
     opt.zero_grad()
-    if len(batch) >= 2 and can_fork():
-        breakdown = sharded_backward(model, batch, cfg)
-    else:
-        breakdown = local_backward(model, batch, cfg)
-    breakdown["grad_norm"] = clip_gradients(opt.params, cfg.clip_norm)
-    opt.step(lr)
+    with nc.one_blas_thread():
+        if len(batch) >= 2 and can_fork():
+            breakdown = sharded_backward(model, batch, cfg)
+        else:
+            breakdown = local_backward(model, batch, cfg)
+        breakdown["grad_norm"] = clip_gradients(opt.params, cfg.clip_norm)
+        opt.step(lr)
     return breakdown
 
 
@@ -570,38 +573,32 @@ def row_shards(batch: SampleBatch) -> tuple[SampleBatch, ...]:
     return tuple(SampleBatch(**{f.name: getattr(batch, f.name)[rows] for f in fields(SampleBatch)}) for rows in bounds)
 
 
-def shard_forward(model: TrackerModel, shard: SampleBatch) -> tuple:
-    """The first phase of a shard's step: (tape, forward, alignment rows).
+def shard_backward(model: TrackerModel, batch: SampleBatch, index: int, cfg: Config) -> dict:
+    """Back-propagate row shard ``index``'s part of the loss of ``batch``.
 
-    The forward of ``shard`` is recorded on a tape of its own, which
-    ``shard_backward`` completes; the (search, template, language) alignment
-    rows are the shard's part of the rows the batch contrasts.
+    The part is (n/B)(L_cls + l_giou L_giou + l_1 L_1) over the shard's n
+    rows plus the contrastive terms over the alignment rows of the whole
+    batch in batch order. The other shard's rows are computed here, without
+    a tape (``TrackerModel.alignment_rows``), and enter as constants after
+    this shard's own in shard 0 and before them in shard 1; the shard's own
+    forward is recorded on a tape of its own. Gradients of the parts of both
+    shards sum to the gradient of the whole batch. Returns the part's
+    ``total_loss`` breakdown; a part that is not finite is not
+    back-propagated.
     """
+    shards = row_shards(batch)
+    shard, other = shards[index], None
+    if len(shards) == 2:
+        rest = shards[1 - index]
+        other = model.alignment_rows(rest.search, rest.template, rest.ids, rest.mask)
     with Tape() as tape:
         fw = model.forward(shard.search, shard.template, shard.ids, shard.mask)
-    return tape, fw, (fw.align_search, fw.align_template, fw.align_language)
-
-
-def shard_backward(taped, shard: SampleBatch, cfg: Config, rows: int, index: int, other=None) -> dict:
-    """The second phase: back-propagate shard ``index``'s part of the loss of a ``rows``-row batch.
-
-    ``taped`` is the shard's ``shard_forward``, and ``other`` holds the other
-    shard's alignment rows as arrays (None when the batch is one shard). The
-    part is (n/rows)(L_cls + l_giou L_giou + l_1 L_1) over the shard's n rows
-    plus the contrastive terms over the alignment rows of the whole batch in
-    batch order: the other shard's rows enter as constants of the same
-    dtype, after this shard's own in shard 0 and before them in shard 1.
-    Gradients of the parts of both shards sum to the gradient of the whole
-    batch. Returns the part's ``total_loss`` breakdown; a part that is not
-    finite is not back-propagated.
-    """
-    tape, fw, align = taped
-    with tape:
+        align = (fw.align_search, fw.align_template, fw.align_language)
         if other is not None:
-            pairs = [(t, Tensor(x, dtype=t.dtype)) for t, x in zip(align, other)]
+            pairs = [(t, Tensor(x.data, dtype=t.dtype)) for t, x in zip(align, other)]
             align = tuple(nc.concat(pair if index == 0 else pair[::-1]) for pair in pairs)
         components = assemble_losses(fw, shard.boxes, cfg, align)
-        weight = Tensor(len(shard) / rows, dtype=fw.head.score.dtype)
+        weight = Tensor(len(shard) / len(batch), dtype=fw.head.score.dtype)
         for name in ("cls", "giou", "l1"):
             components[name] = weight * components[name]
         total, breakdown = total_loss(components, cfg)
@@ -638,42 +635,18 @@ def add_gradients(params: dict, grads: dict):
 def local_backward(model: TrackerModel, batch: SampleBatch, cfg: Config) -> dict:
     """``sharded_backward`` with both shards run here, to the same bytes.
 
-    Both shards are forwarded, each on its own tape; shard 1 is
-    back-propagated first and its gradients set aside, then shard 0, and
-    ``add_gradients`` sums them as it sums the peer's. BLAS runs at one
-    thread, as in the peer, wherever the thread call resolves. A batch of
-    one row is a single shard, whose part is the whole batch's loss.
+    Shard 1 is back-propagated first and its gradients set aside, then shard
+    0, and ``add_gradients`` sums them as it sums the peer's. A batch of one
+    row is a single shard, whose part is the whole batch's loss.
     """
-    shards = row_shards(batch)
-    with nc.one_blas_thread():
-        taped = [shard_forward(model, shard) for shard in shards]
-        if len(shards) == 1:
-            return merge_parts([shard_backward(taped[0], shards[0], cfg, len(batch), 0)], cfg)
-        rows0, rows1 = ([t.data for t in align] for _, _, align in taped)
-        params = model.named_parameters()
-        last = shard_backward(taped[1], shards[1], cfg, len(batch), 1, rows0)
-        grads = {}
+    params = model.named_parameters()
+    parts, grads = [], {}
+    for index in reversed(range(len(row_shards(batch)))):
         for name, t in params.items():
             grads[name], t.grad = t.grad, None
-        first = shard_backward(taped[0], shards[0], cfg, len(batch), 0, rows1)
-        add_gradients(params, grads)
-        return merge_parts([first, last], cfg)
-
-
-def _receive(conn):
-    """The payload of the next message on ``conn``; a message reporting an error raises it."""
-    kind, *payload = conn.recv()
-    if kind == "error":
-        raise payload[0]
-    return payload
-
-
-def _traded_shard(conn, model: TrackerModel, shard: SampleBatch, cfg: Config, rows: int, index: int) -> dict:
-    """Both phases of shard ``index`` of a two-process step; the alignment rows are traded over ``conn``."""
-    taped = shard_forward(model, shard)
-    conn.send(("rows", [t.data for t in taped[2]]))
-    (other,) = _receive(conn)
-    return shard_backward(taped, shard, cfg, rows, index, other)
+        parts.insert(0, shard_backward(model, batch, index, cfg))
+    add_gradients(params, grads)
+    return merge_parts(parts, cfg)
 
 
 def _shared_arrays(params: dict) -> dict:
@@ -696,13 +669,13 @@ def _peer_main(conn, parent_end, model, params, grads):
         t.data = params[name]
     while True:
         try:
-            shard, cfg, rows = conn.recv()
+            batch, cfg = conn.recv()
         except EOFError:
             return
         try:
             for t in tensors.values():
                 t.grad = None
-            part = _traded_shard(conn, model, shard, cfg, rows, 1)
+            part = shard_backward(model, batch, 1, cfg)
             for name, t in tensors.items():
                 if t.grad is not None:
                     grads[name][...] = t.grad
@@ -719,8 +692,7 @@ class _TrainingPeer:
     """A forked process that runs shard 1 of every sharded step of one model.
 
     It reads the parameters from a shared mapping the parent fills before
-    each step, and leaves its gradients in a second one. The parent runs BLAS
-    at one thread while the peer lives.
+    each step, and leaves its gradients in a second one.
     """
 
     def __init__(self, model: TrackerModel):
@@ -738,12 +710,9 @@ class _TrainingPeer:
         )
         self.process.start()
         child_end.close()
-        set_threads, get_threads = nc.blas_thread_calls()
-        threads = get_threads()
-        set_threads(1)
-        self.close = weakref.finalize(model, self._stop, os.getpid(), set_threads, threads)
+        self.close = weakref.finalize(model, self._stop, os.getpid())
 
-    def _stop(self, owner, set_threads, threads):
+    def _stop(self, owner):
         global _peer
         if os.getpid() != owner:  # a process forked later, whose copy of the model was collected
             return
@@ -752,7 +721,6 @@ class _TrainingPeer:
         self.conn.close()
         self.process.terminate()
         self.process.join()
-        set_threads(threads)
 
 
 _peer: _TrainingPeer | None = None
@@ -765,7 +733,7 @@ def close_peer():
 
 
 def sharded_backward(model: TrackerModel, batch: SampleBatch, cfg: Config) -> dict:
-    """Shard 0's two phases here and shard 1's in the model's peer; ``add_gradients`` sums the gradients here.
+    """Shard 0 here and shard 1 in the model's peer; ``add_gradients`` sums the gradients here.
 
     For a batch of at least two rows where ``can_fork``; the CPU count does
     not matter, and on one CPU the two processes take turns on it. A wrapper
@@ -774,7 +742,9 @@ def sharded_backward(model: TrackerModel, batch: SampleBatch, cfg: Config) -> di
     at a model's first call and serves it until the next call with another
     model, until the model is collected, ``close_peer`` or interpreter
     exit. Each call copies the current parameters to it, so
-    ``load_state`` and edits in place reach it. An error in the peer is
+    ``load_state`` and edits in place reach it, and sends it one message,
+    the batch and the config, to which it sends one reply: its part and
+    which parameters got a gradient. An error in the peer is
     raised here with its type and message, and a peer that exits raises
     ``PeerDied``; either way the peer is stopped, and the next call starts
     a fresh one. Returns ``merge_parts`` of the two shards.
@@ -785,13 +755,15 @@ def sharded_backward(model: TrackerModel, batch: SampleBatch, cfg: Config) -> di
         close_peer()
         _peer = _TrainingPeer(model)
     peer = _peer
-    shards = row_shards(batch)
     try:
         for name, t in params.items():
             np.copyto(peer.params[name], t.data)
-        peer.conn.send((shards[1], cfg, len(batch)))
-        part = _traded_shard(peer.conn, model, shards[0], cfg, len(batch), 0)
-        peer_part, peer_has_grad = _receive(peer.conn)
+        peer.conn.send((batch, cfg))
+        part = shard_backward(model, batch, 0, cfg)
+        kind, *reply = peer.conn.recv()
+        if kind == "error":
+            raise reply[0]
+        peer_part, peer_has_grad = reply
     except (EOFError, ConnectionError) as exc:
         peer.close()
         raise PeerDied(f"the training peer exited with code {peer.process.exitcode} during a step") from exc

@@ -556,9 +556,14 @@ def read_lasot_format(seq_dir) -> SequenceRecord:
                 meta = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{meta_path} is not valid JSON: {exc}") from None
+        if not isinstance(meta, dict):
+            raise ParseError(f"{meta_path} holds a JSON {type(meta).__name__}, not an object")
         class_word = meta.get("class_word", "")
         canvas = (meta["canvas"], meta["canvas"]) if "canvas" in meta else None
-        objects = [ObjectTrack(o["role"], o["shape"], o["color"], o["boxes"]) for o in meta.get("objects", [])]
+        try:
+            objects = [ObjectTrack(o["role"], o["shape"], o["color"], o["boxes"]) for o in meta.get("objects", [])]
+        except (KeyError, TypeError):
+            raise ParseError(f"{meta_path}: every object entry needs a role, shape, color and boxes") from None
     if canvas is None:
         probe = load_frame(frame_paths[0])
         canvas = (probe.shape[1], probe.shape[0])

@@ -198,11 +198,14 @@ def conv2d_reference(x, kernels, stride=1, padding=0):
 
 
 def two_shard_backward(model, batch, cfg):
-    """``pipeline.sharded_backward`` without a peer: shard 0, then shard 1, here.
+    """``pipeline.sharded_backward`` without a peer or the pipeline's shard step: shard 0, then shard 1, here.
 
-    Each shard's alignment rows come from an untaped forward of that shard,
-    each shard's part is forwarded again and back-propagated alone, and the
-    gradients are summed shard 0 first. Returns the merged breakdown.
+    Each shard's alignment rows come from an untaped forward of that shard.
+    Each shard is then forwarded again on a tape of its own. Its part is
+    (n/B) times its head losses plus the contrastive terms over the whole
+    batch's alignment rows in batch order, the other shard's rows entering
+    as constants; the part is back-propagated alone, and the gradients are
+    summed shard 0 first. Returns the merged breakdown.
     """
     shards = pl.row_shards(batch)
     rows = []
@@ -214,7 +217,18 @@ def two_shard_backward(model, batch, cfg):
     for s, shard in enumerate(shards):
         for t in params.values():
             t.grad = None
-        parts.append(pl.shard_backward(pl.shard_forward(model, shard), shard, cfg, len(batch), s, rows[1 - s]))
+        with nc.Tape() as tape:
+            fw = model.forward(shard.search, shard.template, shard.ids, shard.mask)
+            own = (fw.align_search, fw.align_template, fw.align_language)
+            other = [nc.Tensor(x, dtype=t.dtype) for t, x in zip(own, rows[1 - s])]
+            align = [nc.concat([a, b] if s == 0 else [b, a]) for a, b in zip(own, other)]
+            components = pl.assemble_losses(fw, shard.boxes, cfg, align)
+            weight = nc.Tensor(len(shard) / len(batch), dtype=fw.head.score.dtype)
+            for name in ("cls", "giou", "l1"):
+                components[name] = weight * components[name]
+            total, breakdown = pl.total_loss(components, cfg)
+            tape.backward(total)
+        parts.append(breakdown)
         grads.append({name: t.grad for name, t in params.items()})
     for name, t in params.items():
         g0, g1 = grads[0][name], grads[1][name]

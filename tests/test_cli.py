@@ -530,8 +530,10 @@ class TestCliEval:
             ("img/000003.ppm", lambda raw: raw[: len(raw) // 2]),  # a half-written frame
             ("img/000003.ppm", lambda raw: raw[:4]),  # a truncated header
             ("meta.json", lambda raw: raw[:-3]),
+            ("meta.json", lambda raw: b"[]"),  # valid JSON, not an object
+            ("meta.json", lambda raw: b'{"objects": [{"role": "target"}]}'),  # an object entry without shape
         ],
-        ids=["ppm-payload", "ppm-header", "meta-json"],
+        ids=["ppm-payload", "ppm-header", "meta-json", "meta-list", "meta-object-keys"],
     )
     def test_malformed_sequence_file_is_a_one_line_parse_error(self, trained_run, tmp_path, capsys, damage):
         data = tmp_path / "data"
@@ -654,6 +656,18 @@ class TestCliGradCheck:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ConfigurationError") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("line", ["iters=ten", "tau=half", "dim=3.5"])
+    def test_non_numeric_config_value_is_a_one_line_error(self, tmp_path, capsys, line):
+        # each of these once ended in a ValueError traceback and exit 1
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"# a comment\n{line}\n")
+        code = main(["grad-check", "--config", str(path)])
+        err = capsys.readouterr().err
+        key, value = line.split("=")
+        assert code == 2
+        assert err.startswith("error: ConfigurationError: config line 2: ") and err.count("\n") == 1, err
+        assert key in err and repr(value) in err
 
     @pytest.mark.parametrize(
         "ablate, losses",

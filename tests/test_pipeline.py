@@ -481,6 +481,18 @@ def cpus(monkeypatch):
     return force
 
 
+def test_importing_the_cli_and_pipeline_loads_no_process_machinery():
+    # map_sequences and the training peer import the process machinery only when they fork,
+    # which keeps it out of eval and track processes that never fan out
+    script = (
+        "import sys, vltrack.cli, vltrack.pipeline; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pl.__file__)))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0 and run.stdout == "[]\n", run.stderr
+
+
 class TestMapSequences:
     @fans_out
     def test_workers_return_results_in_order_at_one_blas_thread(self, cpus):
@@ -644,9 +656,10 @@ class TestShardedTrainStep:
             assert sharded[name] == pytest.approx(full[name], rel=0, abs=1e-12), name
 
     @fans_out
-    def test_peer_steps_match_the_in_process_reference(self, small_setup, small_cfg, batch_of):
+    @pytest.mark.parametrize("rows", [3, 5])  # unequal shards; shard 1 enters its own rows after shard 0's
+    def test_peer_steps_match_the_in_process_reference(self, small_setup, small_cfg, batch_of, rows):
         _, vocab, _, _ = small_setup
-        batch = batch_of(4)
+        batch = batch_of(rows)
         model, opt = new_run(small_cfg, vocab)
         logged = [pl.train_step(model, batch, opt, small_cfg) for _ in range(3)]
         assert pl._peer.process.pid != os.getpid() and pl._peer.process.is_alive()
@@ -761,7 +774,7 @@ class TestShardedTrainStep:
         _, vocab, _, _ = small_setup
         batch = batch_of(4)
         bad = dataclasses.replace(batch, ids=batch.ids.copy())
-        bad.ids[3, 1] = vocab.size + 5  # row 3 is in shard 1, which the peer runs where there is one
+        bad.ids[3, 1] = vocab.size + 5  # row 3 is in shard 1, whose rows both processes embed
         model = TrackerModel(small_cfg, vocab)
         opt = AdamW(model.named_parameters(), lr=1e-3, weight_decay=1e-4)
         before = parameter_bytes(model)
@@ -771,6 +784,26 @@ class TestShardedTrainStep:
         assert pl._peer is None and multiprocessing.active_children() == []
         pl.train_step(model, batch, opt, small_cfg)
         assert parameter_bytes(model) != before
+
+    @fans_out
+    def test_an_error_only_the_peer_meets_arrives_with_its_type_and_message(
+        self, small_setup, small_cfg, batch_of, monkeypatch
+    ):
+        _, vocab, _, _ = small_setup
+        caller, assemble = os.getpid(), pl.assemble_losses
+
+        def failing_in_the_peer(*args):
+            if os.getpid() != caller:
+                raise ContractError("shard 1 failed in the peer")
+            return assemble(*args)
+
+        monkeypatch.setattr(pl, "assemble_losses", failing_in_the_peer)
+        model, opt = new_run(small_cfg, vocab)
+        before = parameter_bytes(model)
+        with pytest.raises(ContractError, match="shard 1 failed in the peer"):
+            pl.train_step(model, batch_of(4), opt, small_cfg)
+        assert parameter_bytes(model) == before
+        assert pl._peer is None and multiprocessing.active_children() == []
 
     def test_an_in_process_shard_1_error_arrives_with_its_type_and_message(
         self, small_setup, small_cfg, batch_of, monkeypatch
@@ -822,16 +855,31 @@ class TestShardedTrainStep:
         self.test_a_non_finite_loss_in_either_shard_diverges(small_setup, small_cfg, batch_of, row)
 
     @fans_out
-    def test_the_parent_runs_one_blas_thread_while_the_peer_lives(self, small_setup, small_cfg, batch_of):
+    @pytest.mark.parametrize("peer", [True, False], ids=["peer", "in-process"])
+    def test_each_step_runs_at_one_blas_thread(self, small_setup, small_cfg, batch_of, monkeypatch, peer):
+        # and the caller gets its own count back after every step, with or without a peer
         _, vocab, _, _ = small_setup
         set_threads, get_threads = nc.blas_thread_calls()
         default = get_threads()
+        forward = TrackerModel.forward
+        threads_seen = []
+
+        def recording(*args, **kwargs):
+            threads_seen.append(get_threads())
+            return forward(*args, **kwargs)
+
         set_threads(2)
         try:
+            if not peer:
+                force_in_process(monkeypatch, "no-fork")
+            monkeypatch.setattr(TrackerModel, "forward", recording)
             model = TrackerModel(small_cfg, vocab)
             opt = AdamW(model.named_parameters(), lr=1e-3, weight_decay=1e-4)
-            pl.train_step(model, batch_of(4), opt, small_cfg)
-            assert get_threads() == 1
+            for _ in range(2):
+                pl.train_step(model, batch_of(4), opt, small_cfg)
+                assert (pl._peer is not None) == peer and get_threads() == 2
+            # the caller's forwards: shard 0's beside the peer, both shards' without it
+            assert threads_seen == [1] * (2 if peer else 4)
             del model, opt
             gc.collect()
             assert pl._peer is None and get_threads() == 2

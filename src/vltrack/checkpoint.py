@@ -11,10 +11,8 @@ Layout (all integers little-endian):
     u32 rng-state length | rng state json
 
 Save -> load -> save is byte-identical; loading under a config whose model
-shape disagrees with the stored snapshot fails fast. A config key retired
-from the model loads when it holds the one value still built
-(``RETIRED_KEYS``) and fails otherwise; a retired key that never changed a
-parameter or a step is dropped whatever it holds. A save writes a
+shape disagrees with the stored snapshot fails fast, and so does a stored
+config block that names a key ``Config`` does not have. A save writes a
 temporary file beside the target and renames it over the target, so an
 interrupted save leaves the previous checkpoint as it was.
 """
@@ -30,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Config, parse_config_text
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigurationError
 
 MAGIC = b"AIO1"
 VERSION = 1
@@ -50,26 +48,6 @@ MODEL_SHAPE_KEYS = (
     "vocab_file",
 )
 
-# config keys that no longer exist, each with the one value the model still
-# builds, or None where no stored value ever changed a parameter or a step
-# (data and run-directory settings); checkpoints written while they existed
-# store them
-RETIRED_KEYS = {
-    "canvas": None,
-    "data_dir": None,
-    "focal_alpha": "2.0",
-    "focal_beta": "4.0",
-    "lang_pool": "mean",
-    "mean_includes_cls": "true",
-    "mixup_shared_linear": "true",
-    "norm_placement": "post",
-    "num_frames": None,
-    "out_dir": None,
-    "text_embed_std": "1.0",
-    "token_reduce": "mean",
-    "window_enabled": "true",
-}
-
 
 @dataclass
 class CheckpointState:
@@ -82,21 +60,6 @@ class CheckpointState:
 
 def model_signature(cfg: Config) -> dict:
     return {k: getattr(cfg, k) for k in MODEL_SHAPE_KEYS}
-
-
-def _drop_retired_keys(text: str, path) -> str:
-    """Drop retired keys stored at a value they allow (any, where none is named); reject any other value."""
-    kept = []
-    for line in text.splitlines(keepends=True):
-        key, _, value = (part.strip() for part in line.partition("="))
-        if key not in RETIRED_KEYS:
-            kept.append(line)
-        elif RETIRED_KEYS[key] is not None and value != RETIRED_KEYS[key]:
-            raise CheckpointError(
-                f"{path}: retired config key {key}={value} names a model variant that no longer exists "
-                f"(only {key}={RETIRED_KEYS[key]} loads)"
-            )
-    return "".join(kept)
 
 
 def _encode_rng_state(state: dict) -> bytes:
@@ -211,7 +174,10 @@ def load_checkpoint(path, expect: Config | None = None) -> CheckpointState:
         if version != VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
         (config_len,) = r.unpack("<I")
-        stored_cfg = parse_config_text(_drop_retired_keys(r.take(config_len).decode("utf-8"), path))
+        try:
+            stored_cfg = parse_config_text(r.take(config_len).decode("utf-8"))
+        except ConfigurationError as exc:
+            raise CheckpointError(f"{path}: stored {exc}") from None
         if expect is not None and model_signature(expect) != model_signature(stored_cfg):
             stored = model_signature(stored_cfg)
             asked = model_signature(expect)

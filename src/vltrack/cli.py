@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .config import Config, load_config
+from .config import CHOICES, Config, load_config
 from .errors import VLTrackError
 
 
@@ -212,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int)
     p.add_argument("--batch", type=int)
     p.add_argument("--lr", type=float)
-    p.add_argument("--ablate", choices=("none", "no-mma", "vision-only"))
-    p.add_argument("--train-prompt", choices=("sentence", "class"))
+    p.add_argument("--ablate", choices=CHOICES["ablate"])
+    p.add_argument("--train-prompt", choices=CHOICES["train_prompt"])
     p.add_argument("--resume", help="checkpoint to continue from")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_train)
@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--ckpt")
     source.add_argument("--oracle-gt", action="store_true", help="score the ground truth against itself")
     p.add_argument("--out", required=True)
-    p.add_argument("--prompt-mode", choices=("sentence", "class"))
+    p.add_argument("--prompt-mode", choices=CHOICES["eval_prompt"])
     p.add_argument("--no-window", action="store_true")
     p.set_defaults(func=cmd_eval)
 

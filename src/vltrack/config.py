@@ -8,9 +8,18 @@ rejected. CLI flags override file values.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
+
+# the values each string key allows; validate and the CLI's choices read them
+CHOICES = {
+    "denominator_mode": ("standard", "literal"),
+    "train_prompt": ("sentence", "class"),
+    "eval_prompt": ("sentence", "class"),
+    "ablate": ("none", "no-mma", "vision-only"),
+}
 
 
 @dataclass
@@ -31,7 +40,7 @@ class Config:
 
     # losses
     tau: float = 0.5
-    denominator_mode: str = "standard"  # "standard" | "literal"
+    denominator_mode: str = "standard"
     lambda_giou: float = 2.0
     lambda_l1: float = 5.0
     lambda_cma: float = 1.0
@@ -46,14 +55,14 @@ class Config:
     jitter: float = 0.25
     log_every: int = 10
     checkpoint_every: int = 500
-    train_prompt: str = "sentence"  # "sentence" | "class"
+    train_prompt: str = "sentence"
 
     # evaluation / inference
     eval_prompt: str = "sentence"
     window_weight: float = 0.49  # 0.0 turns the Hanning window off
 
-    # ablations: "none" | "no-mma" (contrastive terms not computed) |
-    # "vision-only" (additionally skips the language mixup)
+    # ablations: "no-mma" computes no contrastive term (contrastive_losses),
+    # "vision-only" additionally skips the language mixup
     ablate: str = "none"
 
     # data
@@ -63,6 +72,9 @@ class Config:
         self.validate()
 
     def validate(self):
+        for f in dataclasses.fields(self):
+            if f.type in ("float", float) and not math.isfinite(getattr(self, f.name)):
+                raise ConfigurationError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         sizes = (self.patch, self.search_size, self.template_size)
         if min(sizes) <= 0 or self.search_size % self.patch or self.template_size % self.patch:
             raise ConfigurationError("search_size and template_size must be positive multiples of a positive patch")
@@ -77,12 +89,7 @@ class Config:
         for name in ("lambda_giou", "lambda_l1", "lambda_cma", "lambda_ima"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be non-negative")
-        for name, allowed in (
-            ("denominator_mode", ("standard", "literal")),
-            ("train_prompt", ("sentence", "class")),
-            ("eval_prompt", ("sentence", "class")),
-            ("ablate", ("none", "no-mma", "vision-only")),
-        ):
+        for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ConfigurationError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         if self.iters < 0 or min(self.batch_size, self.log_every, self.checkpoint_every) < 1:
@@ -90,11 +97,18 @@ class Config:
                 f"iters must be non-negative and batch_size, log_every and checkpoint_every positive, got "
                 f"{self.iters}/{self.batch_size}/{self.log_every}/{self.checkpoint_every}"
             )
-        if self.batch_size < 2 and self.ablate == "none" and (self.lambda_cma > 0 or self.lambda_ima > 0):
+        if self.batch_size < 2 and self.contrastive_losses:
             raise ConfigurationError("contrastive losses need batch_size >= 2")
         self.head_channel_plan  # validates the channel string
         if self.n_t < 2:
             raise ConfigurationError("n_t must be at least 2")
+
+    @property
+    def contrastive_losses(self) -> tuple:
+        """The contrastive terms a step computes: none under an ablation, else each whose weight is positive."""
+        if self.ablate != "none":
+            return ()
+        return tuple(name for name in ("cma", "ima") if getattr(self, f"lambda_{name}") > 0)
 
     @property
     def head_channel_plan(self):

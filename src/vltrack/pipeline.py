@@ -117,9 +117,8 @@ def assemble_losses(fw, boxes: np.ndarray, cfg: Config, align=None) -> dict:
     """Every loss component of the forward ``fw`` of ground truth ``boxes``, as a scalar tensor.
 
     ``align`` holds the (search, template, language) alignment rows the
-    contrastive terms contrast, by default the forward's own. The ablation
-    rule lives here alone: a contrastive term is computed only when
-    ``cfg.ablate`` is "none" and its weight is positive.
+    contrastive terms contrast, by default the forward's own. Only the terms
+    in ``cfg.contrastive_losses`` are computed.
     """
     grid = fw.head.grid
     heat, onehot, cells, gt_norm = build_regression_targets(boxes, grid, cfg.patch)
@@ -131,10 +130,9 @@ def assemble_losses(fw, boxes: np.ndarray, cfg: Config, align=None) -> dict:
         "l1": l1_loss_tensor(pred, gt_norm),
     }
     fx, fz, ft = align if align is not None else (fw.align_search, fw.align_template, fw.align_language)
-    contrastive = cfg.ablate == "none"
-    if contrastive and cfg.lambda_cma > 0:
+    if "cma" in cfg.contrastive_losses:
         losses["cma"] = cma_loss(fx, fz, ft, cfg.tau, cfg.denominator_mode)
-    if contrastive and cfg.lambda_ima > 0:
+    if "ima" in cfg.contrastive_losses:
         losses["ima"] = ima_loss(fx, fz, cfg.tau, cfg.denominator_mode)
     return losses
 
@@ -580,15 +578,16 @@ def shard_backward(model: TrackerModel, batch: SampleBatch, index: int, cfg: Con
     rows plus the contrastive terms over the alignment rows of the whole
     batch in batch order. The other shard's rows are computed here, without
     a tape (``TrackerModel.alignment_rows``), and enter as constants after
-    this shard's own in shard 0 and before them in shard 1; the shard's own
-    forward is recorded on a tape of its own. Gradients of the parts of both
-    shards sum to the gradient of the whole batch. Returns the part's
-    ``total_loss`` breakdown; a part that is not finite is not
-    back-propagated.
+    this shard's own in shard 0 and before them in shard 1; a config that
+    computes no contrastive term (``cfg.contrastive_losses``) skips them.
+    The shard's own forward is recorded on a tape of its own. Gradients of
+    the parts of both shards sum to the gradient of the whole batch.
+    Returns the part's ``total_loss`` breakdown; a part that is not finite
+    is not back-propagated.
     """
     shards = row_shards(batch)
     shard, other = shards[index], None
-    if len(shards) == 2:
+    if len(shards) == 2 and cfg.contrastive_losses:
         rest = shards[1 - index]
         other = model.alignment_rows(rest.search, rest.template, rest.ids, rest.mask)
     with Tape() as tape:

@@ -559,7 +559,10 @@ def read_lasot_format(seq_dir) -> SequenceRecord:
         if not isinstance(meta, dict):
             raise ParseError(f"{meta_path} holds a JSON {type(meta).__name__}, not an object")
         class_word = meta.get("class_word", "")
-        canvas = (meta["canvas"], meta["canvas"]) if "canvas" in meta else None
+        side = meta.get("canvas")
+        if not isinstance(class_word, str) or not (side is None or type(side) is int and side > 0):
+            raise ParseError(f"{meta_path}: canvas must be a positive integer and class_word a string")
+        canvas = (side, side) if side is not None else None
         try:
             objects = [ObjectTrack(o["role"], o["shape"], o["color"], o["boxes"]) for o in meta.get("objects", [])]
         except (KeyError, TypeError):

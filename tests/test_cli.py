@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vltrack.checkpoint import RETIRED_KEYS, load_checkpoint, save_checkpoint
+from vltrack.checkpoint import load_checkpoint, save_checkpoint
 from vltrack.cli import main
 from vltrack.config import Config, load_config, parse_config_text
 from vltrack.errors import CheckpointError, ConfigurationError
@@ -133,7 +133,6 @@ class TestConfig:
         rows = [line for line in table.splitlines() if line.startswith("| `")]
         named = [key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[1])]
         assert sorted(named) == sorted(f.name for f in dataclasses.fields(Config))
-        assert not set(named) & set(RETIRED_KEYS)
 
 
 class TestCheckpoint:
@@ -171,54 +170,26 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path, expect=cfg.replace(dim=64))
 
-    def test_retired_keys_load_only_at_their_former_default(self, tmp_path):
+    def test_a_stored_unknown_key_is_a_one_line_checkpoint_error(self, tmp_path, capsys):
         cfg, model, opt, rng = self.make_parts(tmp_path)
         path = tmp_path / "c.aio"
         save_checkpoint(path, cfg, model, opt, 3, rng.bit_generator.state)
         original = path.read_bytes()
+        # splice the line into the sorted config block, as a checkpoint
+        # written while Config still had the key stored it
+        (n,) = struct.unpack("<I", original[8:12])
+        lines = original[12 : 12 + n].decode("utf-8").splitlines(keepends=True)
+        block = "".join(sorted(lines + ["norm_placement=post\n"])).encode("utf-8")
+        old = tmp_path / "old.aio"
+        old.write_bytes(original[:8] + struct.pack("<I", len(block)) + block + original[12 + n :])
 
-        def with_retired_lines(**retired):
-            # splice the lines into the sorted config block, as a checkpoint
-            # written while these keys existed stored them
-            (n,) = struct.unpack("<I", original[8:12])
-            lines = original[12 : 12 + n].decode("utf-8").splitlines(keepends=True)
-            lines += [f"{key}={value}\n" for key, value in retired.items()]
-            block = "".join(sorted(lines)).encode("utf-8")
-            old = tmp_path / "old.aio"
-            old.write_bytes(original[:8] + struct.pack("<I", len(block)) + block + original[12 + n :])
-            return old
-
-        former = dict(
-            canvas="256",
-            data_dir="data/train",
-            focal_alpha="2.0",
-            focal_beta="4.0",
-            lang_pool="mean",
-            mean_includes_cls="true",
-            mixup_shared_linear="true",
-            norm_placement="post",
-            num_frames="6",
-            out_dir="run",
-            text_embed_std="1.0",
-            token_reduce="mean",
-            window_enabled="true",
-        )
-        state = load_checkpoint(with_retired_lines(**former))
-        assert state.config == cfg
-        for name, arr in load_checkpoint(path).params.items():
-            assert state.params[name].tobytes() == arr.tobytes()
-        model2 = TrackerModel(state.config, resolve_vocab(state.config))
-        model2.load_state(state.params)
-        opt2 = AdamW(model2.named_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
-        opt2.load_state_dict(state.optimizer)
-        resaved = tmp_path / "resaved.aio"
-        save_checkpoint(resaved, state.config, model2, opt2, state.iteration, state.rng_state)
-        assert resaved.read_bytes() == original
-
-        with pytest.raises(CheckpointError, match="norm_placement=pre"):
-            load_checkpoint(with_retired_lines(**dict(former, norm_placement="pre")))
-        with pytest.raises(CheckpointError, match="window_enabled=false"):
-            load_checkpoint(with_retired_lines(**dict(former, window_enabled="false")))
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(old))}: .*unknown key 'norm_placement'"):
+            load_checkpoint(old)
+        code = main(["eval", "--data", str(tmp_path / "data"), "--ckpt", str(old), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: CheckpointError: ") and err.count("\n") == 1, err
+        assert "norm_placement" in err
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
@@ -470,6 +441,13 @@ class TestCliTrain:
         assert err.startswith("error: ConfigurationError") and err.count("\n") == 1, err
         assert not (run / "checkpoint.aio").exists()
 
+    def test_non_finite_lr_flag_is_a_one_line_error(self, tmp_path, capsys):
+        code = main(["train", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "run"), "--lr", "nan"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ConfigurationError: lr must be finite") and err.count("\n") == 1, err
+        assert not (tmp_path / "run").exists()
+
     def test_ablate_flag_recorded_in_checkpoint(self, tmp_path, small_cfg_file):
         data = tmp_path / "data"
         main(["generate", "--out", str(data), "--frames", "6", "--train-count", "2", "--eval-count", "0"])
@@ -532,8 +510,10 @@ class TestCliEval:
             ("meta.json", lambda raw: raw[:-3]),
             ("meta.json", lambda raw: b"[]"),  # valid JSON, not an object
             ("meta.json", lambda raw: b'{"objects": [{"role": "target"}]}'),  # an object entry without shape
+            ("meta.json", lambda raw: json.dumps(dict(json.loads(raw), canvas="wide")).encode()),
+            ("meta.json", lambda raw: json.dumps(dict(json.loads(raw), class_word=7)).encode()),
         ],
-        ids=["ppm-payload", "ppm-header", "meta-json", "meta-list", "meta-object-keys"],
+        ids=["ppm-payload", "ppm-header", "meta-json", "meta-list", "meta-object-keys", "meta-canvas", "meta-class-word"],
     )
     def test_malformed_sequence_file_is_a_one_line_parse_error(self, trained_run, tmp_path, capsys, damage):
         data = tmp_path / "data"
@@ -647,9 +627,12 @@ class TestCliGradCheck:
         assert code == 2
         assert err.startswith("error: ConfigurationError") and err.count("\n") == 1, err
 
-    @pytest.mark.parametrize("line", ["dim=0", "align_dim=0", "search_size=0", "template_size=0"])
+    @pytest.mark.parametrize(
+        "line", ["dim=0", "align_dim=0", "search_size=0", "template_size=0", "tau=nan", "lr=nan", "lambda_l1=inf"]
+    )
     def test_zero_size_config_is_a_one_line_error(self, tmp_path, capsys, line):
-        # each of these once crashed with a traceback, at model build or at the forward
+        # each of these once crashed with a traceback, at model build or at the
+        # forward, or, for the non-finite values, ran to a FAIL report of nan errors
         path = tmp_path / "bad.cfg"
         path.write_text(line + "\n")
         code = main(["grad-check", "--config", str(path)])

@@ -18,9 +18,11 @@ import vltrack.head
 import vltrack.model
 import vltrack.pipeline
 from vltrack import numcore as nc
+from vltrack.cli import build_parser
 from vltrack.config import Config
 from vltrack.docsbench import (
     GRADCHECK_PARAMS,
+    _recipe_argv,
     gradient_fidelity,
     load_recipes,
     micro_batch,
@@ -54,6 +56,16 @@ class TestRecipes:
         assert {"gradcheck-all", "twin-disambiguation", "determinism"} <= set(recipes)
         for recipe in recipes.values():
             assert recipe.commands and recipe.expected
+
+    def test_every_recipe_command_parses(self):
+        # a recipe that uses a flag or a choice the CLI no longer accepts fails here, not minutes into a run
+        parser = build_parser()
+        for recipe in load_recipes().values():
+            for command in recipe.commands:
+                try:
+                    parser.parse_args(_recipe_argv(command, "work"))
+                except SystemExit:
+                    pytest.fail(f"recipe {recipe.name}: the CLI rejects {command!r}")
 
     def test_every_acceptance_criterion_covered_exactly_once(self):
         # the experiment-level criteria; 2-5 are unit tests in test_acceptance.py

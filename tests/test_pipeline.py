@@ -655,6 +655,23 @@ class TestShardedTrainStep:
         for name in full:
             assert sharded[name] == pytest.approx(full[name], rel=0, abs=1e-12), name
 
+    @pytest.mark.parametrize("ablate, calls", [("none", 2), ("no-mma", 0), ("vision-only", 0)])
+    def test_only_a_contrastive_step_derives_the_other_shards_rows(
+        self, small_setup, small_cfg, batch_of, monkeypatch, ablate, calls
+    ):
+        _, vocab, _, _ = small_setup
+        cfg = small_cfg.replace(ablate=ablate)
+        alignment_rows = TrackerModel.alignment_rows
+        seen = []
+
+        def counted(*args, **kwargs):
+            seen.append(args)
+            return alignment_rows(*args, **kwargs)
+
+        monkeypatch.setattr(TrackerModel, "alignment_rows", counted)
+        pl.local_backward(TrackerModel(cfg, vocab), batch_of(4), cfg)
+        assert len(seen) == calls
+
     @fans_out
     @pytest.mark.parametrize("rows", [3, 5])  # unequal shards; shard 1 enters its own rows after shard 0's
     def test_peer_steps_match_the_in_process_reference(self, small_setup, small_cfg, batch_of, rows):
